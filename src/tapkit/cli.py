@@ -1,8 +1,11 @@
 """Command-line surface for the whole pipeline.
 
 Subcommands: synth, train, parse, eval, baseline (kmeans | tcn), stats,
-ablate, compare-sampling, patterns.  Every command is deterministic under
-``--seed``: its written files and its stdout are byte-identical across runs.
+ablate, compare-sampling, patterns.  ``synth``, ``train``, ``baseline`` and
+``ablate`` draw random numbers from ``--seed``; ``parse``, ``eval``,
+``stats``, ``patterns`` and ``compare-sampling`` accept it and ignore it.
+Every command is deterministic: for a fixed seed its written files and its
+stdout are byte-identical across runs.
 Stdout carries only results (counts, losses, scores, tables) and never echoes
 a path the caller passed in; errors go to stderr.  Exit codes: 0 success,
 2 usage, 3 missing file / IO, 4 data or configuration problem, 5 numeric
@@ -24,7 +27,7 @@ from .errors import (InputError, NumericError, ParseError, TapkitError,
                      ValidationError)
 from .experiments import run_ablation, sampling_classifier
 from .losses import LossConfig, train
-from .metrics import ABS_THRESHOLDS, REL_THRESHOLDS, sweep
+from .metrics import ABS_THRESHOLDS, REL_THRESHOLDS, Segmentation, sweep
 from .model import ModelConfig, TransParserModel, forward, retrieve_top_frames
 from .parsing import extract_boundaries
 
@@ -66,10 +69,13 @@ def _load_predictions(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if "id" not in obj or "starts" not in obj:
-                raise ParseError(f"{path}:{lineno}: prediction records need "
-                                 "'id' and 'starts'")
-            preds[str(obj["id"])] = tuple(int(s) for s in obj["starts"])
+            if not isinstance(obj, dict) or "id" not in obj or "starts" not in obj:
+                raise ParseError(f"{path}:{lineno}: prediction records must be "
+                                 "objects with 'id' and 'starts'")
+            starts = obj["starts"]
+            if not isinstance(starts, list) or any(not isinstance(s, int) for s in starts):
+                raise ValidationError(f"{path}:{lineno}: starts must be a list of ints")
+            preds[str(obj["id"])] = tuple(starts)
     return preds
 
 
@@ -161,6 +167,8 @@ def cmd_eval(args) -> int:
         if instance_id not in by_id:
             raise ValidationError(f"prediction for unknown instance {instance_id!r}")
         record = by_id[instance_id]
+        # raises ValidationError unless starts are strictly increasing in [1, length)
+        Segmentation(instance_id, record.label, record.length, starts)
         dataset.append((starts, record.boundaries, record.length))
     rel = tuple(float(x) for x in args.rel_thresholds.split(",")) \
         if args.rel_thresholds else REL_THRESHOLDS
@@ -259,7 +267,7 @@ def cmd_compare_sampling(args) -> int:
     predictions = _load_predictions(args.pred) if args.pred else None
     schemes = ["uniform", "aligned"] + (["predicted"] if predictions else [])
     reports = [sampling_classifier(records, features, scheme, args.segments,
-                                   seed=args.seed, predictions=predictions)
+                                   predictions=predictions)
                for scheme in schemes]
     for report in reports:
         print(f"{report.scheme:10s} top-1 {report.top1_accuracy:.4f} "

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import FEATURE_FORMAT_VERSION
 from .errors import ConfigError, FormatError, InputError, ParseError, ValidationError
-from .metrics import Segmentation
 
 FEATURE_MAGIC = b"FSEQ"
 SPLITS = ("train", "val", "test")
@@ -58,10 +57,6 @@ class AnnotationRecord:
             if b < prev:
                 raise ValidationError(f"{self.instance_id}: boundaries not sorted")
             prev = b
-
-    def to_segmentation(self) -> Segmentation:
-        return Segmentation(instance_id=self.instance_id, label=self.label,
-                            length=self.length, starts=self.boundaries)
 
 
 # ---------------------------------------------------------------------------

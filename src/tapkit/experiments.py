@@ -121,7 +121,7 @@ class SamplingReport:
 
 def sampling_classifier(records: Sequence[AnnotationRecord],
                         features_by_id: Mapping[str, np.ndarray],
-                        scheme: str, num_segments: int, seed: int = 0,
+                        scheme: str, num_segments: int,
                         predictions: Mapping[str, Sequence[int]] | None = None
                         ) -> SamplingReport:
     """Linear-probe accuracy of one segment-sampling scheme.
@@ -129,14 +129,12 @@ def sampling_classifier(records: Sequence[AnnotationRecord],
     ``scheme`` is ``uniform``, ``aligned`` (ground-truth boundaries), or
     ``predicted`` (requires ``predictions``: instance id -> starts).  The
     probe trains on the train split and reports top-1 and per-class-average
-    accuracy on the test split.  ``seed`` is accepted for interface
-    symmetry; the probe itself is deterministic.
+    accuracy on the test split.  The probe is deterministic.
     """
     if scheme not in SCHEMES:
         raise InputError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     if scheme == "predicted" and predictions is None:
         raise InputError("scheme 'predicted' needs a predictions mapping")
-    del seed
     labels = sorted({r.label for r in records})
     label_index = {lab: i for i, lab in enumerate(labels)}
     rows: dict[str, list[np.ndarray]] = {"train": [], "test": []}

@@ -17,7 +17,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -207,38 +207,6 @@ def softmax_rows(a) -> Node:
     return Node(s, (a,), push)
 
 
-def layer_norm_rows(a, gamma, beta, eps: float = 1e-6) -> Node:
-    """Normalize each row to zero mean and unit variance, then scale/shift.
-
-    ``gamma`` and ``beta`` are 1xd rows.  ``eps`` stabilizes the variance;
-    the backward rule differentiates through mean and variance exactly.
-    """
-    a, gamma, beta = as_node(a), as_node(gamma), as_node(beta)
-    d = a.shape[1]
-    if gamma.shape != (1, d) or beta.shape != (1, d):
-        raise DimensionError(f"layer_norm_rows: gamma/beta must be (1, {d}), "
-                             f"got {gamma.shape} and {beta.shape}")
-    v = a.value
-    mean = v.mean(axis=1, keepdims=True)
-    centered = v - mean
-    var = (centered * centered).mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    normalized = centered * inv_std
-    gv = gamma.value
-
-    def push(g):
-        g_norm = g * gv
-        # d normalized / d v: (I - 1/d) * inv_std - centered * dvar term
-        dot = (g_norm * normalized).sum(axis=1, keepdims=True)
-        mean_g = g_norm.mean(axis=1, keepdims=True)
-        da = inv_std * (g_norm - mean_g - normalized * dot / d)
-        dgamma = (g * normalized).sum(axis=0, keepdims=True)
-        dbeta = g.sum(axis=0, keepdims=True)
-        return (da, dgamma, dbeta)
-
-    return Node(normalized * gv + beta.value, (a, gamma, beta), push)
-
-
 def hconcat(a, b) -> Node:
     """Concatenate two matrices with equal row counts along columns."""
     a, b = as_node(a), as_node(b)
@@ -383,64 +351,37 @@ def linear(x, weight, bias=None) -> Node:
 # backward pass
 # ---------------------------------------------------------------------------
 
-def toposort(root: Node, method: str = "id") -> list[Node]:
-    """All nodes reachable from ``root``, ancestors before descendants.
+def toposort(root: Node) -> list[Node]:
+    """All nodes reachable from ``root`` in creation (id) order.
 
-    ``method="id"`` sorts by creation order (parents are always created
-    first); ``method="dfs"`` emits an iterative depth-first postorder.  Both
-    are valid topological orders and exist so the traversal-order
-    independence of :func:`backward` can be exercised.
+    Parents are always created before the nodes that consume them, so id
+    order puts every ancestor before its descendants.
     """
-    if method == "id":
-        seen: set[int] = set()
-        nodes: list[Node] = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.id in seen:
-                continue
-            seen.add(node.id)
-            nodes.append(node)
-            stack.extend(node.parents)
-        nodes.sort(key=lambda n: n.id)
-        return nodes
-    if method == "dfs":
-        out: list[Node] = []
-        seen = set()
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                out.append(node)
-                continue
-            if node.id in seen:
-                continue
-            seen.add(node.id)
-            stack.append((node, True))
-            for parent in node.parents:
-                stack.append((parent, False))
-        return out
-    raise InputError(f"unknown toposort method {method!r}")
+    seen: set[int] = set()
+    nodes: list[Node] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.id in seen:
+            continue
+        seen.add(node.id)
+        nodes.append(node)
+        stack.extend(node.parents)
+    nodes.sort(key=lambda n: n.id)
+    return nodes
 
 
-def backward(root: Node, traversal: Sequence[Node] | None = None) -> None:
+def backward(root: Node) -> None:
     """Fill ``grad`` for every node reachable from the scalar ``root``.
 
-    Gradient contributions into a node are summed in a canonical order
-    (sorted by the id of the consumer that produced them), so any valid
-    topological ``traversal`` yields bit-identical gradients.
+    Nodes are visited in descending id order.  The gradient contributions
+    into a node are summed in ascending id of the consumer that produced
+    them, which fixes the floating-point summation order.
     """
     if root.value.shape != (1, 1):
         raise InputError(f"backward starts from a scalar node, got shape {root.value.shape}")
-    reachable = toposort(root)
-    if traversal is None:
-        order = reachable
-    else:
-        order = list(traversal)
-        if {n.id for n in order} != {n.id for n in reachable}:
-            raise InputError("traversal does not cover exactly the nodes reachable from root")
     contribs: dict[int, list[tuple[int, np.ndarray]]] = {root.id: [(-1, np.ones((1, 1)))]}
-    for node in reversed(order):
+    for node in reversed(toposort(root)):
         entries = contribs.pop(node.id, None)
         if entries is None:
             node.grad = np.zeros_like(node.value)

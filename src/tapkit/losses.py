@@ -41,7 +41,6 @@ class LossConfig:
     epochs: int = 100
     batch_size: int = 1
     seed: int = 0
-    pair_subsample: int = 0  # cap per pair set; 0 enumerates exactly
 
     def validate(self) -> None:
         if self.lambda_reg < 0:
@@ -62,8 +61,6 @@ class LossConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.pair_subsample < 0:
-            raise ConfigError(f"pair_subsample must be >= 0, got {self.pair_subsample}")
 
 
 def _as_starts(segmentation, n: int) -> tuple[int, ...]:
@@ -79,28 +76,16 @@ def _as_starts(segmentation, n: int) -> tuple[int, ...]:
     return starts
 
 
-def pair_indices(n: int, starts: Sequence[int],
-                 subsample: int = 0) -> tuple[np.ndarray, ...]:
+def pair_indices(n: int, starts: Sequence[int]) -> tuple[np.ndarray, ...]:
     """Index arrays (wi, wj, ci, cj) of within- and cross-segment frame pairs.
 
     Pairs are unordered (i < j).  Single-frame segments contribute no within
-    pairs; fewer than two segments means no cross pairs.  ``subsample`` > 0
-    caps each pair set at that many evenly strided pairs (deterministic,
-    for long sequences where the full O(n^2) enumeration would dominate).
+    pairs; fewer than two segments means no cross pairs.
     """
     seg_of = np.searchsorted(np.asarray(starts, dtype=np.intp), np.arange(n), side="right")
     ii, jj = np.triu_indices(n, k=1)
     same = seg_of[ii] == seg_of[jj]
-    sets = [ii[same], jj[same], ii[~same], jj[~same]]
-    if subsample > 0:
-        out = []
-        for a, b in ((sets[0], sets[1]), (sets[2], sets[3])):
-            if a.size > subsample:
-                keep = np.linspace(0, a.size - 1, subsample).astype(np.intp)
-                a, b = a[keep], b[keep]
-            out.extend((a, b))
-        sets = out
-    return tuple(sets)
+    return ii[same], jj[same], ii[~same], jj[~same]
 
 
 def local_loss(responses, segmentation, cfg: LossConfig,
@@ -118,7 +103,7 @@ def local_loss(responses, segmentation, cfg: LossConfig,
     n = resp.shape[0]
     if pairs is None:
         starts = _as_starts(segmentation, n)
-        pairs = pair_indices(n, starts, cfg.pair_subsample)
+        pairs = pair_indices(n, starts)
     wi, wj, ci, cj = pairs
     if wi.size:
         sim = la.mean_all(la.row_norms(la.sub(la.gather_rows(resp, wi),
@@ -135,13 +120,6 @@ def local_loss(responses, segmentation, cfg: LossConfig,
         dissim = la.as_node(0.0)
     return la.div(la.add(sim, la.as_node(cfg.lambda_reg)),
                   la.add(dissim, la.as_node(cfg.epsilon_div)))
-
-
-def global_loss(final_features, classifier_w, label: int) -> la.Node:
-    """NLL of the action label under softmax of mean-pooled frame logits."""
-    logits = la.mean_over_rows(la.matmul(la.as_node(final_features),
-                                         la.as_node(classifier_w)))
-    return la.nll_from_logits(logits, label)
 
 
 def combined_loss(graph, segmentation, label: int, cfg: LossConfig,

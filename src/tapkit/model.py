@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -43,7 +43,6 @@ class ModelConfig:
     hidden_dim: int = 128
     num_classes: int = 4
     num_units: int = 2
-    use_layer_norm: bool = False  # normalize f + r before the FFN
 
     def validate(self) -> None:
         for name in ("feature_dim", "pattern_dim", "num_patterns", "attn_dim",
@@ -100,8 +99,6 @@ class SPSUnit:
     ffn_b1: la.Node
     ffn_w2: la.Node
     ffn_b2: la.Node
-    ln_gamma: la.Node | None = None
-    ln_beta: la.Node | None = None
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, la.Node]]:
         yield f"{prefix}miner", self.miner.node
@@ -111,9 +108,6 @@ class SPSUnit:
             yield f"{prefix}head{h}.w_v", head.w_v
         yield f"{prefix}merge.w", self.merge_w
         yield f"{prefix}merge.b", self.merge_b
-        if self.ln_gamma is not None:
-            yield f"{prefix}norm.gamma", self.ln_gamma
-            yield f"{prefix}norm.beta", self.ln_beta
         yield f"{prefix}ffn.w1", self.ffn_w1
         yield f"{prefix}ffn.b1", self.ffn_b1
         yield f"{prefix}ffn.w2", self.ffn_w2
@@ -146,8 +140,6 @@ def _init_unit(rng: np.random.Generator, cfg: ModelConfig) -> SPSUnit:
         ffn_b1=la.Node(np.zeros((1, cfg.hidden_dim))),
         ffn_w2=_uniform_init(rng, cfg.hidden_dim, cfg.feature_dim),
         ffn_b2=la.Node(np.zeros((1, cfg.feature_dim))),
-        ln_gamma=la.Node(np.ones((1, cfg.feature_dim))) if cfg.use_layer_norm else None,
-        ln_beta=la.Node(np.zeros((1, cfg.feature_dim))) if cfg.use_layer_norm else None,
     )
 
 
@@ -196,18 +188,8 @@ class TransParserModel:
 
     def save(self, path) -> None:
         """Write the self-describing little-endian checkpoint container."""
-        header = {
-            "feature_dim": self.config.feature_dim,
-            "pattern_dim": self.config.pattern_dim,
-            "num_patterns": self.config.num_patterns,
-            "attn_dim": self.config.attn_dim,
-            "value_dim": self.config.value_dim,
-            "hidden_dim": self.config.hidden_dim,
-            "num_classes": self.config.num_classes,
-            "num_units": self.config.num_units,
-            "use_layer_norm": self.config.use_layer_norm,
-            "labels": list(self.labels) if self.labels is not None else None,
-        }
+        header = {**asdict(self.config),
+                  "labels": list(self.labels) if self.labels is not None else None}
         blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
         entries = list(self.named_parameters())
         with open(path, "wb") as fh:
@@ -239,6 +221,9 @@ class TransParserModel:
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise FormatError(f"unreadable checkpoint header: {exc}") from exc
             try:
+                # headers written before layer norm was removed carry a false flag
+                if header.pop("use_layer_norm", False) is not False:
+                    raise FormatError("checkpoint uses layer norm, which is no longer supported")
                 labels = header.pop("labels")
                 config = ModelConfig(**header)
             except (KeyError, TypeError) as exc:
@@ -313,8 +298,6 @@ def _unit_forward(feats: la.Node, unit: SPSUnit) -> tuple[la.Node, la.Node]:
         head_outs.append(la.matmul(alpha, la.matmul(unit.miner.node, head.w_v)))
     merged = la.linear(la.hconcat(head_outs[0], head_outs[1]), unit.merge_w, unit.merge_b)
     amplified = la.add(feats, merged)
-    if unit.ln_gamma is not None:
-        amplified = la.layer_norm_rows(amplified, unit.ln_gamma, unit.ln_beta)
     hidden = la.relu(la.linear(amplified, unit.ffn_w1, unit.ffn_b1))
     out = la.linear(hidden, unit.ffn_w2, unit.ffn_b2)
     # single reported response per frame: mean of the two heads' rows,
@@ -334,17 +317,6 @@ def _check_features(features: np.ndarray, feature_dim: int) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NumericError("features contain non-finite entries")
     return arr
-
-
-def sps_forward(features, unit: SPSUnit) -> tuple[np.ndarray, np.ndarray]:
-    """Run one unit over a frame sequence.
-
-    Returns ``(out_features, response)`` where ``response`` rows are the
-    mean of the two heads' attention rows (still row-stochastic).
-    """
-    arr = _check_features(features, unit.heads[0].w_q.shape[0])
-    out, response = _unit_forward(la.Node(arr), unit)
-    return out.value.copy(), response.value.copy()
 
 
 def forward_graph(features, model: TransParserModel) -> GraphTrace:

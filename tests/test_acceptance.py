@@ -255,8 +255,8 @@ def test_criterion_7_sampling_ordering():
                       action_orders=((0, 1, 0, 1, 0), (1, 0, 1, 0, 1)))
     features, records, _ = generate_synthetic(cfg)
     feats = {r.instance_id: f for r, f in zip(records, features)}
-    uniform = sampling_classifier(records, feats, "uniform", 5, seed=0)
-    aligned = sampling_classifier(records, feats, "aligned", 5, seed=0)
+    uniform = sampling_classifier(records, feats, "uniform", 5)
+    aligned = sampling_classifier(records, feats, "aligned", 5)
     gap = aligned.top1_accuracy - uniform.top1_accuracy
     assert gap >= 0.05, (f"aligned {aligned.top1_accuracy:.4f} vs uniform "
                          f"{uniform.top1_accuracy:.4f}: gap {gap:.4f}")

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,17 @@ class TestEval:
         pred = tmp_path / "pred.jsonl"
         pred.write_text(json.dumps({"id": "ghost", "starts": [1]}) + "\n")
         assert run(["eval", "--pred", pred, "--gt", tiny_data]) == 4
+
+    @pytest.mark.parametrize("starts", [None, ["a"], 5, [-4, 9999, 9999]],
+                             ids=["not-an-object", "string-start", "starts-not-a-list",
+                                  "out-of-range"])
+    def test_malformed_prediction_exits_4(self, tiny_data, tmp_path, capsys, starts):
+        first = json.loads((tiny_data / "annotations.jsonl").read_text().splitlines()[0])
+        line = "5" if starts is None else json.dumps({"id": first["id"], "starts": starts})
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(line + "\n")
+        assert run(["eval", "--pred", pred, "--gt", tiny_data]) == 4
+        assert "error:" in capsys.readouterr().err
 
 
 class TestPipeline:
@@ -210,8 +222,10 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
 
     def test_module_entry_point(self):
+        # the child imports the same tapkit as this process, installed or not
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         result = subprocess.run([sys.executable, "-m", "tapkit", "--version"],
-                                capture_output=True, text=True)
+                                capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert "tapkit 0.1.0" in result.stdout
         assert "checkpoint format v1" in result.stdout

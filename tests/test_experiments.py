@@ -61,15 +61,15 @@ def order_sensitive_dataset(seed=1, instances=60, noise=1.5):
 class TestSamplingClassifier:
     def test_one_segment_collapses_schemes(self):
         records, feats = order_sensitive_dataset(seed=1)
-        uniform = sampling_classifier(records, feats, "uniform", 1, seed=0)
-        aligned = sampling_classifier(records, feats, "aligned", 1, seed=0)
+        uniform = sampling_classifier(records, feats, "uniform", 1)
+        aligned = sampling_classifier(records, feats, "aligned", 1)
         assert uniform.top1_accuracy == aligned.top1_accuracy
         assert uniform.avg_class_accuracy == aligned.avg_class_accuracy
 
     def test_aligned_beats_uniform_on_order_sensitive_data(self):
         records, feats = order_sensitive_dataset(seed=1)
-        uniform = sampling_classifier(records, feats, "uniform", 5, seed=0)
-        aligned = sampling_classifier(records, feats, "aligned", 5, seed=0)
+        uniform = sampling_classifier(records, feats, "uniform", 5)
+        aligned = sampling_classifier(records, feats, "aligned", 5)
         assert aligned.top1_accuracy > uniform.top1_accuracy
 
     def test_random_labels_scores_near_chance(self):
@@ -83,7 +83,7 @@ class TestSamplingClassifier:
                                    "label": f"act{int(rng.integers(4)):02d}"})
                     for r in records]
         feats = {r.instance_id: f for r, f in zip(shuffled, features)}
-        report = sampling_classifier(shuffled, feats, "uniform", 2, seed=0)
+        report = sampling_classifier(shuffled, feats, "uniform", 2)
         # binomial: 24 test draws at p=1/4 -> 3 sigma is ~0.27
         assert abs(report.top1_accuracy - 0.25) < 0.30
 

@@ -242,30 +242,6 @@ class TestBackward:
         la.backward(out)
         assert np.allclose(x.grad, [[6.0]])
 
-    def test_traversal_order_independence(self):
-        rng = np.random.default_rng(7)
-        x = la.Node(rng.normal(size=(4, 3)))
-        w1 = la.Node(rng.normal(size=(3, 3)))
-        w2 = la.Node(rng.normal(size=(3, 3)))
-        # x feeds several consumers so accumulation order actually matters
-        h1 = la.relu(la.matmul(x, w1))
-        h2 = la.softmax_rows(la.matmul(x, w2))
-        both = la.add(la.matmul(h1, la.transpose(h2)), la.matmul(x, la.transpose(x)))
-        root = la.mean_all(both)
-
-        la.backward(root, traversal=la.toposort(root, "id"))
-        by_id = [x.grad.copy(), w1.grad.copy(), w2.grad.copy()]
-        la.backward(root, traversal=la.toposort(root, "dfs"))
-        by_dfs = [x.grad.copy(), w1.grad.copy(), w2.grad.copy()]
-        for g_id, g_dfs in zip(by_id, by_dfs):
-            assert np.array_equal(g_id, g_dfs)
-
-    def test_bad_traversal_rejected(self):
-        x = la.Node([[1.0]])
-        root = la.mul(x, x)
-        with pytest.raises(InputError):
-            la.backward(root, traversal=[root])
-
 
 class TestNodeBasics:
     def test_scalar_and_vector_promotion(self):

@@ -6,7 +6,7 @@ import pytest
 import tapkit.linalg as la
 from tapkit.data import SynthConfig, generate_synthetic
 from tapkit.errors import ConfigError, InputError, NumericError
-from tapkit.losses import (LossConfig, combined_loss, global_loss, local_loss,
+from tapkit.losses import (LossConfig, combined_loss, local_loss,
                            pair_indices, train)
 from tapkit.model import ModelConfig, TransParserModel, forward_graph
 
@@ -96,31 +96,51 @@ class TestLocalLoss:
             local_loss(resp, [2, 2], CFG)
 
 
+GLOBAL_ONLY = LossConfig(w_local=0.0)
+GLOBAL_CFG = ModelConfig(feature_dim=4, pattern_dim=3, num_patterns=3, attn_dim=3,
+                         value_dim=3, hidden_dim=5, num_classes=5, num_units=1)
+
+
+def global_term(model, feats, label):
+    """Global term of ``combined_loss`` on a ``forward_graph`` trace."""
+    graph = forward_graph(feats, model)
+    _, local_value, global_value = combined_loss(graph, (), label, GLOBAL_ONLY)
+    assert local_value == 0.0
+    return graph, global_value
+
+
 class TestGlobalLoss:
     def test_uniform_logits_give_log_c(self):
+        model = TransParserModel.initialize(GLOBAL_CFG, seed=5)
+        model.classifier_w.value[:] = 0.0
         feats = np.random.default_rng(5).normal(size=(6, 4))
-        w = np.zeros((4, 5))
-        loss = global_loss(feats, w, label=2)
-        assert abs(loss.item() - np.log(5.0)) < 1e-12
+        _, value = global_term(model, feats, label=2)
+        assert abs(value - np.log(5.0)) < 1e-12
 
     def test_saturated_correct_class(self):
-        feats = np.ones((3, 2))
-        w = np.array([[100.0, -100.0], [100.0, -100.0]])
-        assert global_loss(feats, w, label=0).item() < 1e-12
+        model = TransParserModel.initialize(GLOBAL_CFG, seed=6)
+        feats = np.random.default_rng(6).normal(size=(3, 4))
+        pooled = forward_graph(feats, model).features[-1].value.mean(axis=0)
+        # class 0 gets logit 100, every other class logit 0
+        model.classifier_w.value[:] = 0.0
+        model.classifier_w.value[:, 0] = 100.0 * pooled / (pooled @ pooled)
+        _, value = global_term(model, feats, label=0)
+        assert value < 1e-12
 
     def test_matches_mean_pool_log_softmax_oracle(self):
-        rng = np.random.default_rng(6)
-        feats = rng.normal(size=(5, 3))
-        w = rng.normal(size=(3, 4))
+        model = TransParserModel.initialize(GLOBAL_CFG, seed=7)
+        feats = np.random.default_rng(7).normal(size=(5, 4))
         label = 1
-        pooled = (feats @ w).mean(axis=0)
+        graph, value = global_term(model, feats, label)
+        pooled = (graph.features[-1].value @ model.classifier_w.value).mean(axis=0)
         oracle = -(pooled[label] - np.log(np.exp(pooled - pooled.max()).sum())
                    - pooled.max())
-        assert abs(global_loss(feats, w, label).item() - oracle) < 1e-10
+        assert abs(value - oracle) < 1e-10
 
     def test_label_out_of_range(self):
+        model = TransParserModel.initialize(GLOBAL_CFG, seed=8)
         with pytest.raises(InputError):
-            global_loss(np.zeros((2, 3)), np.zeros((3, 2)), label=2)
+            global_term(model, np.zeros((2, 4)), label=5)
 
 
 class TestCombinedGradients:

@@ -1,3 +1,7 @@
+import json
+import struct
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -5,10 +9,11 @@ import tapkit.linalg as la
 from tapkit.errors import (ConfigError, DimensionError, FormatError, InputError,
                            NumericError)
 from tapkit.model import (ForwardTrace, ModelConfig, PatternMiner, TransParserModel,
-                          forward, forward_graph, retrieve_top_frames, sps_forward)
+                          forward, forward_graph, retrieve_top_frames)
 
 SMALL = ModelConfig(feature_dim=6, pattern_dim=5, num_patterns=3, attn_dim=4,
                     value_dim=4, hidden_dim=7, num_classes=3, num_units=2)
+ONE_UNIT = replace(SMALL, num_units=1)
 
 
 def unit_oracle(feats, unit):
@@ -39,52 +44,43 @@ def unit_oracle(feats, unit):
 
 
 class TestSpsForward:
+    """One attention unit, run through ``forward`` on a one-unit model."""
+
     def test_zero_queries_give_uniform_response(self):
-        model = TransParserModel.initialize(SMALL, seed=0)
-        unit = model.units[0]
-        for head in unit.heads:
+        model = TransParserModel.initialize(ONE_UNIT, seed=0)
+        for head in model.units[0].heads:
             head.w_q.value[:] = 0.0
-        _, resp = sps_forward(np.random.default_rng(0).normal(size=(4, 6)), unit)
-        assert np.allclose(resp, 1.0 / SMALL.num_patterns, atol=1e-15)
+        trace = forward(np.random.default_rng(0).normal(size=(4, 6)), model)
+        assert np.allclose(trace.response, 1.0 / SMALL.num_patterns, atol=1e-15)
 
     def test_zero_values_and_merge_isolate_ffn(self):
-        model = TransParserModel.initialize(SMALL, seed=1)
+        model = TransParserModel.initialize(ONE_UNIT, seed=1)
         unit = model.units[0]
         for head in unit.heads:
             head.w_v.value[:] = 0.0
         unit.merge_w.value[:] = 0.0
         unit.merge_b.value[:] = 0.0
         feats = np.random.default_rng(1).normal(size=(5, 6))
-        out, _ = sps_forward(feats, unit)
+        out = forward(feats, model).final_features
         hidden = np.maximum(feats @ unit.ffn_w1.value + unit.ffn_b1.value, 0.0)
         expected = hidden @ unit.ffn_w2.value + unit.ffn_b2.value
         assert np.array_equal(out, expected)
 
     def test_matches_per_frame_loop_oracle(self):
-        model = TransParserModel.initialize(SMALL, seed=2)
-        unit = model.units[0]
+        model = TransParserModel.initialize(ONE_UNIT, seed=2)
         feats = np.random.default_rng(2).normal(size=(4, 6))
-        out, resp = sps_forward(feats, unit)
-        out_o, resp_o = unit_oracle(feats, unit)
-        assert np.max(np.abs(out - out_o)) < 1e-10
-        assert np.max(np.abs(resp - resp_o)) < 1e-10
+        trace = forward(feats, model)
+        out_o, resp_o = unit_oracle(feats, model.units[0])
+        assert np.max(np.abs(trace.final_features - out_o)) < 1e-10
+        assert np.max(np.abs(trace.response - resp_o)) < 1e-10
 
     def test_dimension_error(self):
-        model = TransParserModel.initialize(SMALL, seed=0)
+        model = TransParserModel.initialize(ONE_UNIT, seed=0)
         with pytest.raises(DimensionError):
-            sps_forward(np.zeros((3, 4)), model.units[0])
+            forward(np.zeros((3, 4)), model)
 
 
 class TestForward:
-    def test_single_unit_equals_sps_forward(self):
-        cfg = ModelConfig(**{**SMALL.__dict__, "num_units": 1})
-        model = TransParserModel.initialize(cfg, seed=3)
-        feats = np.random.default_rng(3).normal(size=(4, 6))
-        trace = forward(feats, model)
-        out, resp = sps_forward(feats, model.units[0])
-        assert np.array_equal(trace.final_features, out)
-        assert np.array_equal(trace.response, resp)
-
     def test_duplicated_frames_duplicate_rows(self):
         model = TransParserModel.initialize(SMALL, seed=4)
         feats = np.random.default_rng(4).normal(size=(3, 6))
@@ -234,6 +230,46 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError):
             TransParserModel.load(path)
+
+    def test_header_keys_are_config_fields_plus_labels(self, tmp_path):
+        path = tmp_path / "model.tpsr"
+        TransParserModel.initialize(SMALL, seed=14).save(path)
+        header = read_header(path.read_bytes())[0]
+        assert set(header) == {f.name for f in fields(ModelConfig)} | {"labels"}
+
+    def test_legacy_layer_norm_false_loads(self, tmp_path):
+        model = TransParserModel.initialize(SMALL, seed=15, labels=["x", "y", "z"])
+        path = tmp_path / "model.tpsr"
+        model.save(path)
+        rewrite_header(path, use_layer_norm=False)
+        loaded = TransParserModel.load(path)
+        assert loaded.config == model.config
+        assert loaded.labels == model.labels
+        for (na, a), (nb, b) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert na == nb
+            assert np.array_equal(a.value, b.value)
+
+    def test_layer_norm_true_rejected(self, tmp_path):
+        path = tmp_path / "model.tpsr"
+        TransParserModel.initialize(SMALL, seed=16).save(path)
+        rewrite_header(path, use_layer_norm=True)
+        with pytest.raises(FormatError):
+            TransParserModel.load(path)
+
+
+def read_header(blob):
+    """Checkpoint header dict and the offset where the weight payload starts."""
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    return json.loads(blob[12:12 + hlen]), 12 + hlen
+
+
+def rewrite_header(path, **extra):
+    """Add ``extra`` keys to a saved checkpoint's header, keeping its payload."""
+    blob = path.read_bytes()
+    header, payload_at = read_header(blob)
+    new = json.dumps({**header, **extra}, sort_keys=True,
+                     separators=(",", ":")).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[payload_at:])
 
 
 class TestConstruction:

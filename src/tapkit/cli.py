@@ -79,6 +79,21 @@ def _load_predictions(path):
     return preds
 
 
+def _check_predictions(preds, records):
+    """Index ``records`` by id after checking every prediction against its record.
+
+    Raises ValidationError for an unknown instance id, or for starts that are
+    not strictly increasing in ``[1, length)``.
+    """
+    by_id = {r.instance_id: r for r in records}
+    for instance_id, starts in preds.items():
+        if instance_id not in by_id:
+            raise ValidationError(f"prediction for unknown instance {instance_id!r}")
+        record = by_id[instance_id]
+        Segmentation(instance_id, record.label, record.length, starts)
+    return by_id
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -161,15 +176,9 @@ def cmd_eval(args) -> int:
     preds = _load_predictions(args.pred)
     directory = data_mod.resolve_data_dir(args.gt)
     records = data_mod.load_annotations(Path(directory) / "annotations.jsonl")
-    by_id = {r.instance_id: r for r in records}
-    dataset = []
-    for instance_id, starts in preds.items():
-        if instance_id not in by_id:
-            raise ValidationError(f"prediction for unknown instance {instance_id!r}")
-        record = by_id[instance_id]
-        # raises ValidationError unless starts are strictly increasing in [1, length)
-        Segmentation(instance_id, record.label, record.length, starts)
-        dataset.append((starts, record.boundaries, record.length))
+    by_id = _check_predictions(preds, records)
+    dataset = [(starts, by_id[instance_id].boundaries, by_id[instance_id].length)
+               for instance_id, starts in preds.items()]
     rel = tuple(float(x) for x in args.rel_thresholds.split(",")) \
         if args.rel_thresholds else REL_THRESHOLDS
     abs_ = tuple(float(x) for x in args.abs_thresholds.split(",")) \
@@ -265,6 +274,8 @@ def cmd_compare_sampling(args) -> int:
     records = [r for r, _ in pairs]
     features = {r.instance_id: f for r, f in pairs}
     predictions = _load_predictions(args.pred) if args.pred else None
+    if predictions:
+        _check_predictions(predictions, records)
     schemes = ["uniform", "aligned"] + (["predicted"] if predictions else [])
     reports = [sampling_classifier(records, features, scheme, args.segments,
                                    predictions=predictions)

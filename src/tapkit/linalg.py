@@ -220,22 +220,64 @@ def hconcat(a, b) -> Node:
     return Node(np.concatenate([a.value, b.value], axis=1), (a, b), push)
 
 
+def _row_indices(indices, n: int, op: str) -> np.ndarray:
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1:
+        raise DimensionError(f"{op}: indices must be 1-D, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise InputError(f"{op}: index out of range for {n} rows")
+    return idx
+
+
+def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Add ``rows[p]`` into row ``idx[p]`` of an n-row zero matrix.
+
+    One flat ``np.bincount`` adds in input order starting from zero, so the
+    result is bitwise equal to ``np.add.at`` (``np.add.reduceat`` is not).
+    """
+    d = rows.shape[1]
+    flat = (idx[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=n * d).reshape(n, d)
+
+
 def gather_rows(a, indices) -> Node:
     """Select rows ``a[indices]``; backward scatter-adds into the source."""
     a = as_node(a)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise DimensionError(f"gather_rows: indices must be 1-D, got shape {idx.shape}")
     n = a.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise InputError(f"gather_rows: index out of range for {n} rows")
+    idx = _row_indices(indices, n, "gather_rows")
 
     def push(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, idx, g)
-        return (out,)
+        return (_scatter_rows(idx, g, n),)
 
     return Node(a.value[idx], (a,), push)
+
+
+def mean_pair_distance(a, i, j) -> Node:
+    """Mean Euclidean distance between rows ``a[i[p]]`` and ``a[j[p]]``.
+
+    One node for ``mean_all(row_norms(sub(gather_rows(a, i), gather_rows(a,
+    j))))``, equal to that chain bit for bit in value and gradient: the
+    elementwise arithmetic is the same, coincident rows get the zero
+    subgradient, and the push returns the ``i``-scatter before the
+    ``j``-scatter, so :func:`backward` sums them in the chain's order.
+    """
+    a = as_node(a)
+    n = a.shape[0]
+    i = _row_indices(i, n, "mean_pair_distance")
+    j = _row_indices(j, n, "mean_pair_distance")
+    if i.shape != j.shape:
+        raise DimensionError(f"mean_pair_distance: {i.size} i-indices but {j.size} j-indices")
+    if not i.size:
+        raise InputError("mean_pair_distance: needs at least one pair")
+    diff = a.value[i] - a.value[j]
+    r = np.sqrt((diff * diff).sum(axis=1, keepdims=True))
+
+    def push(g):
+        step = np.divide(diff, r, out=np.zeros_like(diff), where=r > 0.0)
+        step *= g[0, 0] / r.size
+        return (_scatter_rows(i, step, n), _scatter_rows(j, -step, n))
+
+    return Node([[r.mean()]], (a, a), push)
 
 
 def row_norms(a) -> Node:

@@ -106,13 +106,11 @@ def local_loss(responses, segmentation, cfg: LossConfig,
         pairs = pair_indices(n, starts)
     wi, wj, ci, cj = pairs
     if wi.size:
-        sim = la.mean_all(la.row_norms(la.sub(la.gather_rows(resp, wi),
-                                              la.gather_rows(resp, wj))))
+        sim = la.mean_pair_distance(resp, wi, wj)
     else:
         sim = la.as_node(0.0)
     if ci.size:
-        dissim = la.mean_all(la.row_norms(la.sub(la.gather_rows(resp, ci),
-                                                 la.gather_rows(resp, cj))))
+        dissim = la.mean_pair_distance(resp, ci, cj)
     else:
         warnings.warn("instance has fewer than 2 segments; local loss "
                       "falls back to its epsilon-guarded denominator",

@@ -220,6 +220,9 @@ class TransParserModel:
                 header = json.loads(_read_exact(fh, hlen).decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise FormatError(f"unreadable checkpoint header: {exc}") from exc
+            if not isinstance(header, dict):
+                raise FormatError("checkpoint header must be a JSON object, "
+                                  f"got {type(header).__name__}")
             try:
                 # headers written before layer norm was removed carry a false flag
                 if header.pop("use_layer_norm", False) is not False:

@@ -33,7 +33,7 @@ EASY_SYNTH = dict(num_prototypes=4, feature_dim=64, num_actions=4,
 EASY_SEED = 0          # criterion 5 dataset + model + shuffle seed
 TRAIN_EPOCHS = 200
 TRAIN_LR = 0.02
-RECOVERY_F1_MIN = 0.8          # measured 0.9524 on the committed seed
+RECOVERY_F1_MIN = 0.8          # measured 0.8421
 PIPELINE_BUDGET_SECONDS = 300.0
 
 ABLATION_DATA_SEED = 1         # committed after the data-seed sweep

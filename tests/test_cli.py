@@ -205,6 +205,37 @@ class TestStatsAndSampling:
         assert "uniform" in out and "aligned" in out
         assert csv_path.read_text().startswith("scheme,segments,")
 
+    @staticmethod
+    def _write_pred(tiny_data, tmp_path, starts_of):
+        pred = tmp_path / "pred.jsonl"
+        with open(pred, "w") as fh:
+            for line in (tiny_data / "annotations.jsonl").read_text().splitlines():
+                record = json.loads(line)
+                fh.write(json.dumps({"id": record["id"],
+                                     "starts": starts_of(record)}) + "\n")
+        return pred
+
+    def test_compare_sampling_scores_ground_truth_predictions(self, tiny_data, tmp_path,
+                                                              capsys):
+        pred = self._write_pred(tiny_data, tmp_path, lambda r: r["boundaries"])
+        assert run(["compare-sampling", "--data", tiny_data, "--segments", "2",
+                    "--pred", pred]) == 0
+        assert "predicted  top-1" in capsys.readouterr().out
+
+    def test_compare_sampling_out_of_range_starts_exit_4(self, tiny_data, tmp_path, capsys):
+        pred = self._write_pred(tiny_data, tmp_path, lambda r: [-4, 9999, 9999])
+        assert run(["compare-sampling", "--data", tiny_data, "--segments", "2",
+                    "--pred", pred]) == 4
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "top-1" not in captured.out
+
+    def test_compare_sampling_unknown_instance_exits_4(self, tiny_data, tmp_path, capsys):
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps({"id": "ghost", "starts": [1]}) + "\n")
+        assert run(["compare-sampling", "--data", tiny_data, "--segments", "2",
+                    "--pred", pred]) == 4
+        assert "ghost" in capsys.readouterr().err
+
     def test_data_dir_env_fallback(self, tiny_data, capsys, monkeypatch):
         monkeypatch.setenv("TAPKIT_DATA_DIR", str(tiny_data))
         assert run(["stats"]) == 0

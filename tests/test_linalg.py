@@ -155,6 +155,7 @@ class TestOpGradients:
         "matmul", "add", "add_bias", "sub", "mul", "div", "scale",
         "transpose", "relu", "sigmoid", "softmax", "hconcat", "gather",
         "row_norms", "sum_all", "mean_all", "mean_over_rows", "nll", "bce",
+        "mean_pair_distance",
     ])
     def test_each_op(self, case):
         rng = np.random.default_rng(hash(case) % (2**32))
@@ -224,7 +225,50 @@ class TestOpGradients:
             y = (rng.uniform(size=(6, 1)) > 0.5).astype(float)
             fn = lambda: la.weighted_bce_with_logits(z, y, pos_weight=3.0)
             params = [z]
+        elif case == "mean_pair_distance":
+            i, j = np.array([0, 2, 1, 0]), np.array([1, 0, 2, 2])
+            fn = lambda: la.mean_pair_distance(a, i, j)
+            params = [a]
         assert la.grad_check(fn, params, eps=1e-6) < 1e-6
+
+
+class TestGatherScatter:
+    """gather_rows' push must add in the same order as ``np.add.at``."""
+
+    @pytest.mark.parametrize("idx", [[4, 0, 3, 1], [2, 2, 0, 2, 4, 0, 2] * 6, []],
+                             ids=["unsorted", "repeated", "empty"])
+    def test_push_bitwise_equals_add_at(self, idx):
+        rng = np.random.default_rng(5)
+        a = la.Node(rng.normal(size=(5, 3)))
+        idx = np.asarray(idx, dtype=np.intp)
+        # long runs into the same rows, so any reordering shows in the low bits
+        g = rng.normal(size=(idx.size, 3))
+        expected = np.zeros((5, 3))
+        np.add.at(expected, idx, g)
+        (got,) = la.gather_rows(a, idx)._push(g)
+        assert got.shape == (5, 3)
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestMeanPairDistance:
+    def test_hand_computed(self):
+        a = [[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]]
+        out = la.mean_pair_distance(a, [0, 1], [1, 2])
+        assert out.shape == (1, 1)
+        assert abs(out.item() - (5.0 + np.sqrt(20.0)) / 2.0) < 1e-12
+
+    def test_empty_pairs_rejected(self):
+        with pytest.raises(InputError, match="at least one pair"):
+            la.mean_pair_distance(np.zeros((3, 2)), [], [])
+
+    @pytest.mark.parametrize("i, j", [([0, 3], [1, 2]), ([0, 1], [-1, 2])])
+    def test_out_of_range_rejected(self, i, j):
+        with pytest.raises(InputError, match="out of range"):
+            la.mean_pair_distance(np.zeros((3, 2)), i, j)
+
+    def test_mismatched_index_lengths_rejected(self):
+        with pytest.raises(DimensionError):
+            la.mean_pair_distance(np.zeros((3, 2)), [0, 1], [2])
 
 
 class TestBackward:

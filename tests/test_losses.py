@@ -96,6 +96,75 @@ class TestLocalLoss:
             local_loss(resp, [2, 2], CFG)
 
 
+def chain_mean_distance(resp, i, j):
+    """The op chain that ``mean_pair_distance`` fuses, built from public ops."""
+    return la.mean_all(la.row_norms(la.sub(la.gather_rows(resp, i),
+                                           la.gather_rows(resp, j))))
+
+
+def chain_combined_loss(graph, starts, label, cfg):
+    """``combined_loss`` with its local ratio term built from the op chain."""
+    resp = graph.responses[-1]
+    wi, wj, ci, cj = pair_indices(resp.shape[0], starts)
+    local = la.div(la.add(chain_mean_distance(resp, wi, wj), la.as_node(cfg.lambda_reg)),
+                   la.add(chain_mean_distance(resp, ci, cj), la.as_node(cfg.epsilon_div)))
+    return la.add(la.scale(local, cfg.w_local),
+                  la.scale(la.nll_from_logits(graph.logits, label), cfg.w_global))
+
+
+class TestFusedPairDistance:
+    """mean_pair_distance equals the op chain it replaces bit for bit."""
+
+    @staticmethod
+    def _both(values, i, j, weight):
+        results = []
+        for build in (chain_mean_distance, la.mean_pair_distance):
+            a = la.Node(values.copy())
+            out = build(a, i, j)
+            # a non-unit upstream gradient, as inside the ratio loss
+            la.backward(la.scale(out, weight))
+            results.append((out.value.tobytes(), a.grad.tobytes()))
+        return results
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(21)
+        for _ in range(25):
+            n = int(rng.integers(2, 60))
+            values = rng.normal(size=(n, int(rng.integers(1, 9))))
+            values[n - 1] = values[0]  # coincident rows give a zero-distance pair
+            p = int(rng.integers(1, 3 * n))
+            i = rng.integers(0, n, size=p)
+            j = rng.integers(0, n, size=p)
+            i[0], j[0] = 0, n - 1
+            chain, fused = self._both(values, i, j, rng.normal())
+            assert fused == chain
+
+    def test_single_pair_and_zero_distance(self):
+        values = np.array([[1.0, -2.0, 0.5], [1.0, -2.0, 0.5], [0.0, 3.0, 4.0]])
+        for i, j in (([0], [2]), ([0], [1]), ([1], [1]), ([0, 1, 2], [1, 0, 2])):
+            chain, fused = self._both(values, np.array(i), np.array(j), -0.7)
+            assert fused == chain
+
+    def test_two_unit_model_gradients(self):
+        from conftest import spread_features, spread_model
+        cfg = ModelConfig(feature_dim=6, pattern_dim=5, num_patterns=5, attn_dim=4,
+                          value_dim=4, hidden_dim=7, num_classes=3, num_units=2)
+        for seed, n, starts in ((3, 30, [7, 15, 22]), (4, 17, [1, 9]), (5, 41, [20])):
+            model = spread_model(cfg, seed=seed)
+            feats = spread_features(seed, (n, 6))
+            grads = []
+            for loss in ("fused", "chain"):
+                graph = forward_graph(feats, model)
+                if loss == "fused":
+                    total = combined_loss(graph, starts, seed % 3, CFG)[0]
+                else:
+                    total = chain_combined_loss(graph, starts, seed % 3, CFG)
+                la.backward(total)
+                grads.append([total.value.tobytes()]
+                             + [p.grad.tobytes() for p in model.parameters()])
+            assert grads[0] == grads[1]
+
+
 GLOBAL_ONLY = LossConfig(w_local=0.0)
 GLOBAL_CFG = ModelConfig(feature_dim=4, pattern_dim=3, num_patterns=3, attn_dim=3,
                          value_dim=3, hidden_dim=5, num_classes=5, num_units=1)

@@ -256,6 +256,16 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             TransParserModel.load(path)
 
+    @pytest.mark.parametrize("raw", [b"5", b"[1,2]", b"null", b'"header"'])
+    def test_non_object_header_rejected(self, tmp_path, raw):
+        path = tmp_path / "model.tpsr"
+        TransParserModel.initialize(SMALL, seed=17).save(path)
+        blob = path.read_bytes()
+        payload_at = read_header(blob)[1]
+        path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[payload_at:])
+        with pytest.raises(FormatError, match="JSON object"):
+            TransParserModel.load(path)
+
 
 def read_header(blob):
     """Checkpoint header dict and the offset where the weight payload starts."""

@@ -132,7 +132,6 @@ def _model_config_from_args(args, feature_dim, num_classes) -> ModelConfig:
 def _loss_config_from_args(args) -> LossConfig:
     return LossConfig(lambda_reg=args.lambda_reg,
                       w_local=0.0 if args.no_local_loss else 1.0,
-                      w_global=1.0,
                       learning_rate=args.lr,
                       momentum=args.momentum,
                       grad_clip=args.grad_clip,
@@ -392,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = bsub.add_parser("kmeans", help="cluster-transition parsing")
     _add_data_arg(b)
-    b.add_argument("--k", type=int, default=64)
+    b.add_argument("--k", type=int, default=4)
     b.add_argument("--out", required=True)
     b.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
     b.add_argument("--seed", type=int, default=0)

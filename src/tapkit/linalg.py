@@ -16,6 +16,7 @@ Conventions
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Callable, Iterable
 
@@ -29,9 +30,10 @@ _node_ids = itertools.count()
 class Node:
     """A matrix value plus the bookkeeping for reverse-mode differentiation.
 
-    ``value`` is a 2-D float64 array.  ``grad`` has the same shape, starts at
-    zero, and is filled in by :func:`backward`.  ``parents`` are the operand
-    nodes; ``_push`` maps an upstream gradient to one contribution per parent.
+    ``value`` is a 2-D float64 array.  ``grad`` starts as ``None``;
+    :func:`backward` sets it to an array of ``value``'s shape on every node it
+    reaches.  ``parents`` are the operand nodes; ``_push`` maps an upstream
+    gradient to one contribution per parent.
     """
 
     __slots__ = ("value", "grad", "parents", "_push", "id")
@@ -47,7 +49,7 @@ class Node:
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.value = arr
-        self.grad = np.zeros_like(arr)
+        self.grad = None
         self.parents = tuple(parents)
         self._push = push
         self.id = next(_node_ids)
@@ -172,15 +174,20 @@ def relu(a) -> Node:
     return Node(np.where(mask, a.value, 0.0), (a,), push)
 
 
-def sigmoid(a) -> Node:
-    """Numerically stable logistic function, elementwise."""
-    a = as_node(a)
-    v = a.value
+def _logistic(v: np.ndarray) -> np.ndarray:
+    """Elementwise ``1 / (1 + exp(-v))``, split by sign so exp never overflows."""
     out = np.empty_like(v)
     pos = v >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
     ev = np.exp(v[~pos])
     out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def sigmoid(a) -> Node:
+    """Numerically stable logistic function, elementwise."""
+    a = as_node(a)
+    out = _logistic(a.value)
 
     def push(g):
         return (g * out * (1.0 - out),)
@@ -369,11 +376,7 @@ def weighted_bce_with_logits(logits, targets, pos_weight: float = 1.0) -> Node:
     zv = z.value
     per = w * y * np.logaddexp(0.0, -zv) + (1.0 - y) * np.logaddexp(0.0, zv)
     size = zv.size
-    sig = np.empty_like(zv)
-    pos = zv >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-zv[pos]))
-    ez = np.exp(zv[~pos])
-    sig[~pos] = ez / (1.0 + ez)
+    sig = _logistic(zv)
 
     def push(g):
         return (g[0, 0] * (w * y * (sig - 1.0) + (1.0 - y) * sig) / size,)
@@ -393,49 +396,38 @@ def linear(x, weight, bias=None) -> Node:
 # backward pass
 # ---------------------------------------------------------------------------
 
-def toposort(root: Node) -> list[Node]:
-    """All nodes reachable from ``root`` in creation (id) order.
-
-    Parents are always created before the nodes that consume them, so id
-    order puts every ancestor before its descendants.
-    """
-    seen: set[int] = set()
-    nodes: list[Node] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.id in seen:
-            continue
-        seen.add(node.id)
-        nodes.append(node)
-        stack.extend(node.parents)
-    nodes.sort(key=lambda n: n.id)
-    return nodes
-
-
 def backward(root: Node) -> None:
-    """Fill ``grad`` for every node reachable from the scalar ``root``.
+    """Set ``grad`` on every node reachable from the scalar ``root``.
 
-    Nodes are visited in descending id order.  The gradient contributions
-    into a node are summed in ascending id of the consumer that produced
-    them, which fixes the floating-point summation order.
+    One walk pops the reachable nodes from a max-heap on id, so they are
+    visited in descending id order.  A parent is pushed when its first
+    gradient contribution arrives; since every consumer has a higher id than
+    its operands, a node holds all of its contributions when it is popped.
+    The contributions into a node are summed in ascending id of the consumer
+    that produced them (a stable sort keeps a consumer's own contributions in
+    push order), which fixes the floating-point summation order.
     """
     if root.value.shape != (1, 1):
         raise InputError(f"backward starts from a scalar node, got shape {root.value.shape}")
     contribs: dict[int, list[tuple[int, np.ndarray]]] = {root.id: [(-1, np.ones((1, 1)))]}
-    for node in reversed(toposort(root)):
-        entries = contribs.pop(node.id, None)
-        if entries is None:
-            node.grad = np.zeros_like(node.value)
-            continue
+    heap = [(-root.id, root)]
+    while heap:
+        _, node = heapq.heappop(heap)
+        entries = contribs.pop(node.id)
         entries.sort(key=lambda item: item[0])
         grad = entries[0][1].copy()
         for _, extra in entries[1:]:
             grad += extra
         node.grad = grad
-        if node.parents and node._push is not None:
-            for parent, contribution in zip(node.parents, node._push(grad)):
-                contribs.setdefault(parent.id, []).append((node.id, contribution))
+        if node._push is None:
+            continue
+        for parent, contribution in zip(node.parents, node._push(grad)):
+            pending = contribs.get(parent.id)
+            if pending is None:
+                contribs[parent.id] = [(node.id, contribution)]
+                heapq.heappush(heap, (-parent.id, parent))
+            else:
+                pending.append((node.id, contribution))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +450,9 @@ def grad_check(loss_fn: Callable[[], Node], params: Iterable[Node], eps: float =
     if not np.isfinite(root.value).all():
         raise NumericError("loss is not finite at the unperturbed parameters")
     backward(root)
-    analytic = [p.grad.copy().reshape(-1) for p in params]
+    # a parameter the loss does not reach keeps grad None: its gradient is 0
+    analytic = [np.zeros(p.value.size) if p.grad is None else p.grad.copy().reshape(-1)
+                for p in params]
     worst = 0.0
     for pi, p in enumerate(params):
         flat = p.value.reshape(-1)

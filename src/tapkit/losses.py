@@ -20,6 +20,10 @@ from . import linalg as la
 from .errors import ConfigError, InputError, NumericError
 from .model import TransParserModel, forward_graph
 
+EPSILON_DIV = 1e-8
+"""Guard added to the local ratio loss's denominator, which is otherwise
+undefined when all cross-segment responses coincide."""
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -27,14 +31,12 @@ class LossConfig:
 
     ``lambda_reg`` is the numerator regularizer of the local ratio loss (it
     keeps the collapsed all-rows-identical solution expensive);
-    ``epsilon_div`` guards the denominator, which is otherwise undefined
-    when all cross-segment responses coincide.
+    ``w_local`` weighs that loss against the global classification loss,
+    which always enters with weight 1 (``w_local=0`` trains on it alone).
     """
 
     lambda_reg: float = 1.0
-    epsilon_div: float = 1e-8
     w_local: float = 1.0
-    w_global: float = 1.0
     learning_rate: float = 0.01
     momentum: float = 0.9
     grad_clip: float = 5.0
@@ -45,12 +47,8 @@ class LossConfig:
     def validate(self) -> None:
         if self.lambda_reg < 0:
             raise ConfigError(f"lambda_reg must be >= 0, got {self.lambda_reg}")
-        if self.epsilon_div <= 0:
-            raise ConfigError(f"epsilon_div must be > 0, got {self.epsilon_div}")
-        if self.w_local < 0 or self.w_global < 0:
-            raise ConfigError("loss weights must be >= 0")
-        if self.w_local == 0 and self.w_global == 0:
-            raise ConfigError("at least one loss weight must be positive")
+        if self.w_local < 0:
+            raise ConfigError(f"w_local must be >= 0, got {self.w_local}")
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
@@ -63,9 +61,8 @@ class LossConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def _as_starts(segmentation, n: int) -> tuple[int, ...]:
-    starts = getattr(segmentation, "starts", segmentation)
-    starts = tuple(int(s) for s in starts)
+def _as_starts(segmentation: Sequence[int], n: int) -> tuple[int, ...]:
+    starts = tuple(int(s) for s in segmentation)
     prev = 0
     for s in starts:
         if not 1 <= s < n:
@@ -117,29 +114,21 @@ def local_loss(responses, segmentation, cfg: LossConfig,
                       stacklevel=2)
         dissim = la.as_node(0.0)
     return la.div(la.add(sim, la.as_node(cfg.lambda_reg)),
-                  la.add(dissim, la.as_node(cfg.epsilon_div)))
+                  la.add(dissim, la.as_node(EPSILON_DIV)))
 
 
 def combined_loss(graph, segmentation, label: int, cfg: LossConfig,
                   pairs=None) -> tuple[la.Node, float, float]:
-    """Weighted sum of both losses on a forward graph.
+    """Weighted local ratio loss plus the global NLL on a forward graph.
 
-    Returns ``(total, local_value, global_value)``; a disabled side (weight
-    zero) is skipped and reported as 0.0.
+    Returns ``(total, local_value, global_value)``; with ``w_local`` zero the
+    local side is skipped and reported as 0.0.
     """
-    parts = []
-    local_value = 0.0
-    global_value = 0.0
-    if cfg.w_local > 0:
-        ll = local_loss(graph.responses[-1], segmentation, cfg, pairs=pairs)
-        local_value = ll.item()
-        parts.append(la.scale(ll, cfg.w_local))
-    if cfg.w_global > 0:
-        gl = la.nll_from_logits(graph.logits, label)
-        global_value = gl.item()
-        parts.append(la.scale(gl, cfg.w_global))
-    total = parts[0] if len(parts) == 1 else la.add(parts[0], parts[1])
-    return total, local_value, global_value
+    gl = la.nll_from_logits(graph.logits, label)
+    if cfg.w_local == 0:
+        return gl, 0.0, gl.item()
+    ll = local_loss(graph.responses[-1], segmentation, cfg, pairs=pairs)
+    return la.add(la.scale(ll, cfg.w_local), gl), ll.item(), gl.item()
 
 
 def train(dataset, model: TransParserModel, cfg: LossConfig,

@@ -337,13 +337,17 @@ def forward_graph(features, model: TransParserModel) -> GraphTrace:
 
 
 def forward(features, model: TransParserModel, instance_id: str = "") -> ForwardTrace:
-    """Inference forward pass; validates that every output stays finite."""
+    """Inference forward pass; validates that every output stays finite.
+
+    The trace holds the graph's own value arrays, not copies: the graph is
+    dropped on return, so nothing else refers to them.
+    """
     graph = forward_graph(features, model)
     trace = ForwardTrace(
         instance_id=instance_id,
-        responses=[r.value.copy() for r in graph.responses],
-        features=[f.value.copy() for f in graph.features],
-        logits=graph.logits.value.copy(),
+        responses=[r.value for r in graph.responses],
+        features=[f.value for f in graph.features],
+        logits=graph.logits.value,
     )
     for arr in (*trace.responses, *trace.features, trace.logits):
         if not np.isfinite(arr).all():

@@ -191,6 +191,15 @@ class TestPipeline:
                     "--pattern", "99", "--top", "5"]) == 4
 
 
+class TestBaselineKmeans:
+    def test_default_k_runs_on_default_corpus(self, tmp_path):
+        data_dir = tmp_path / "data"
+        assert run(["synth", "--out", data_dir, "--seed", "0"]) == 0
+        pred = tmp_path / "kmeans.jsonl"
+        assert run(["baseline", "kmeans", "--data", data_dir, "--out", pred]) == 0
+        assert pred.read_text().strip()
+
+
 class TestStatsAndSampling:
     def test_stats_prints_class_table(self, tiny_data, capsys):
         assert run(["stats", "--data", tiny_data]) == 0

@@ -126,6 +126,12 @@ class TestGradCheck:
 
         assert la.grad_check(loss, [theta], eps=1e-5) == 0.0
 
+    def test_parameter_the_loss_does_not_reach(self):
+        theta = la.Node([[1.0]])
+        unused = la.Node([[2.0]])
+        assert la.grad_check(lambda: la.scale(theta, 2.0), [theta, unused]) < 1e-8
+        assert unused.grad is None
+
     def test_eps_must_be_positive(self):
         theta = la.Node([[1.0]])
         with pytest.raises(InputError):
@@ -276,9 +282,27 @@ class TestBackward:
         with pytest.raises(InputError):
             la.backward(la.Node(np.zeros((2, 2))))
 
-    def test_grad_zero_initialized(self):
-        node = la.Node(np.ones((2, 3)))
-        assert np.array_equal(node.grad, np.zeros((2, 3)))
+    def test_grad_set_only_by_backward(self):
+        x = la.Node(np.ones((2, 3)))
+        w = la.Node(np.full((3, 1), 0.5))
+        assert x.grad is None and w.grad is None
+        hidden = la.matmul(x, w)
+        root = la.mean_all(la.relu(hidden))
+        assert hidden.grad is None
+        la.backward(root)
+        for node in (x, w, hidden, root):
+            assert node.grad is not None
+            assert node.grad.shape == node.value.shape
+
+    def test_contributions_summed_in_consumer_creation_order(self):
+        # 1e16 + (-1e16) + 1 is 1 in ascending consumer order, but 0 in
+        # descending order, where 1e16 absorbs the 1 first
+        x = la.Node([[1.0]])
+        big = la.scale(x, 1e16)
+        neg = la.scale(x, -1e16)
+        one = la.scale(x, 1.0)
+        la.backward(la.add(la.add(big, neg), one))
+        assert x.grad[0, 0] == 1.0
 
     def test_reused_operand_accumulates(self):
         x = la.Node([[3.0]])

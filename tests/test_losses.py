@@ -6,7 +6,7 @@ import pytest
 import tapkit.linalg as la
 from tapkit.data import SynthConfig, generate_synthetic
 from tapkit.errors import ConfigError, InputError, NumericError
-from tapkit.losses import (LossConfig, combined_loss, local_loss,
+from tapkit.losses import (EPSILON_DIV, LossConfig, combined_loss, local_loss,
                            pair_indices, train)
 from tapkit.model import ModelConfig, TransParserModel, forward_graph
 
@@ -48,7 +48,7 @@ class TestLocalLoss:
         resp = rng.uniform(size=(8, 5))
         starts = [3, 6]
         loss = local_loss(resp, starts, CFG)
-        oracle = pairwise_local_oracle(resp, starts, CFG.lambda_reg, CFG.epsilon_div)
+        oracle = pairwise_local_oracle(resp, starts, CFG.lambda_reg, EPSILON_DIV)
         assert abs(loss.item() - oracle) < 1e-10
 
     def test_single_segment_warns_and_guards(self):
@@ -107,9 +107,9 @@ def chain_combined_loss(graph, starts, label, cfg):
     resp = graph.responses[-1]
     wi, wj, ci, cj = pair_indices(resp.shape[0], starts)
     local = la.div(la.add(chain_mean_distance(resp, wi, wj), la.as_node(cfg.lambda_reg)),
-                   la.add(chain_mean_distance(resp, ci, cj), la.as_node(cfg.epsilon_div)))
+                   la.add(chain_mean_distance(resp, ci, cj), la.as_node(EPSILON_DIV)))
     return la.add(la.scale(local, cfg.w_local),
-                  la.scale(la.nll_from_logits(graph.logits, label), cfg.w_global))
+                  la.scale(la.nll_from_logits(graph.logits, label), 1.0))
 
 
 class TestFusedPairDistance:
@@ -306,11 +306,9 @@ class TestTrain:
 class TestLossConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
-            LossConfig(epsilon_div=0.0).validate()
-        with pytest.raises(ConfigError):
-            LossConfig(w_local=0.0, w_global=0.0).validate()
-        with pytest.raises(ConfigError):
             LossConfig(lambda_reg=-1.0).validate()
+        with pytest.raises(ConfigError):
+            LossConfig(w_local=-1.0).validate()
         with pytest.raises(ConfigError):
             LossConfig(momentum=1.0).validate()
 

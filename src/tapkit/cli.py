@@ -2,8 +2,9 @@
 
 Subcommands: synth, train, parse, eval, baseline (kmeans | tcn), stats,
 ablate, compare-sampling, patterns.  ``synth``, ``train``, ``baseline`` and
-``ablate`` draw random numbers from ``--seed``; ``parse``, ``eval``,
-``stats``, ``patterns`` and ``compare-sampling`` accept it and ignore it.
+``ablate`` draw random numbers from ``--seed``; ``parse``, ``patterns`` and
+``compare-sampling`` accept it and ignore it; ``eval`` and ``stats`` take
+none.
 Every command is deterministic: for a fixed seed its written files and its
 stdout are byte-identical across runs.
 Stdout carries only results (counts, losses, scores, tables) and never echoes
@@ -23,11 +24,10 @@ from pathlib import Path
 from . import CHECKPOINT_FORMAT_VERSION, FEATURE_FORMAT_VERSION, __version__
 from . import data as data_mod
 from .baselines import TCNTrainConfig, kmeans_parse, tcn_parse, tcn_train
-from .errors import (InputError, NumericError, ParseError, TapkitError,
-                     ValidationError)
+from .errors import InputError, NumericError, ParseError, TapkitError
 from .experiments import run_ablation, sampling_classifier
 from .losses import LossConfig, train
-from .metrics import ABS_THRESHOLDS, REL_THRESHOLDS, Segmentation, sweep
+from .metrics import ABS_THRESHOLDS, REL_THRESHOLDS, sweep
 from .model import ModelConfig, TransParserModel, forward, retrieve_top_frames
 from .parsing import extract_boundaries
 
@@ -56,42 +56,6 @@ def _write_predictions(results, path):
             fh.write(json.dumps({"id": result.instance_id,
                                  "starts": list(result.starts)},
                                 sort_keys=True) + "\n")
-
-
-def _load_predictions(path):
-    preds = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if not isinstance(obj, dict) or "id" not in obj or "starts" not in obj:
-                raise ParseError(f"{path}:{lineno}: prediction records must be "
-                                 "objects with 'id' and 'starts'")
-            starts = obj["starts"]
-            if not isinstance(starts, list) or any(not isinstance(s, int) for s in starts):
-                raise ValidationError(f"{path}:{lineno}: starts must be a list of ints")
-            preds[str(obj["id"])] = tuple(starts)
-    return preds
-
-
-def _check_predictions(preds, records):
-    """Index ``records`` by id after checking every prediction against its record.
-
-    Raises ValidationError for an unknown instance id, or for starts that are
-    not strictly increasing in ``[1, length)``.
-    """
-    by_id = {r.instance_id: r for r in records}
-    for instance_id, starts in preds.items():
-        if instance_id not in by_id:
-            raise ValidationError(f"prediction for unknown instance {instance_id!r}")
-        record = by_id[instance_id]
-        Segmentation(instance_id, record.label, record.length, starts)
-    return by_id
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +136,10 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    preds = _load_predictions(args.pred)
     directory = data_mod.resolve_data_dir(args.gt)
     records = data_mod.load_annotations(Path(directory) / "annotations.jsonl")
-    by_id = _check_predictions(preds, records)
+    preds = data_mod.load_predictions(args.pred, records)
+    by_id = {r.instance_id: r for r in records}
     dataset = [(starts, by_id[instance_id].boundaries, by_id[instance_id].length)
                for instance_id, starts in preds.items()]
     rel = tuple(float(x) for x in args.rel_thresholds.split(",")) \
@@ -252,7 +216,7 @@ def cmd_ablate(args) -> int:
                           momentum=args.momentum, grad_clip=args.grad_clip,
                           epochs=args.epochs, batch_size=args.batch_size,
                           seed=args.seed)
-    rows = run_ablation(train_data, eval_data, model_cfg, loss_cfg, seed=args.seed)
+    rows = run_ablation(train_data, eval_data, model_cfg, loss_cfg)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sps_units", "local_loss", "avg_f1", "avg_recall",
@@ -272,9 +236,7 @@ def cmd_compare_sampling(args) -> int:
     pairs = data_mod.load_dataset(directory)
     records = [r for r, _ in pairs]
     features = {r.instance_id: f for r, f in pairs}
-    predictions = _load_predictions(args.pred) if args.pred else None
-    if predictions:
-        _check_predictions(predictions, records)
+    predictions = data_mod.load_predictions(args.pred, records) if args.pred else None
     schemes = ["uniform", "aligned"] + (["predicted"] if predictions else [])
     reports = [sampling_classifier(records, features, scheme, args.segments,
                                    predictions=predictions)
@@ -383,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list overriding the relative grid")
     p.add_argument("--abs-thresholds", default=None,
                    help="comma list overriding the absolute grid")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("baseline", help="run a parsing baseline")
@@ -415,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="dataset statistics")
     _add_data_arg(p)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("ablate", help="unit-count x local-loss ablation table")

@@ -1,7 +1,8 @@
 """Annotation/feature I/O, dataset statistics, and the synthetic generator.
 
-Annotations are JSON lines, one instance per line, with boundaries given as
-frame indices strictly inside ``(0, length)``.  Features live in a little-
+Annotations and predictions are JSON lines, one instance per line, and both
+carry start lists that obey one rule (``check_starts``): ints, strictly
+increasing, inside ``[1, length)``.  Features live in a little-
 endian binary container (magic ``FSEQ``): frames are stored as float32 and
 widened to float64 on load.  The synthetic generator builds sequences of
 prototype segments with optional linear cross-fades at the junctions, so
@@ -29,6 +30,28 @@ SPLITS = ("train", "val", "test")
 DATA_DIR_ENV = "TAPKIT_DATA_DIR"
 
 
+def check_starts(starts: Sequence[int], length: int, where: str) -> tuple[int, ...]:
+    """Return ``starts`` as a tuple of Python ints after checking the start rule.
+
+    Starts are the frames where sub-actions begin after the first one:
+    ints (Python or NumPy, not bools), strictly increasing, inside
+    ``[1, length)`` (frame 0 trivially starts the first segment and is never
+    listed).  Raises ValidationError prefixed with ``where``.
+    """
+    prev = 0
+    for s in starts:
+        if type(s) is not int and not isinstance(s, np.integer):
+            raise ValidationError(f"{where}: boundary {s!r} is not an int")
+        if not 0 < s < length:
+            raise ValidationError(f"{where}: boundary {s} outside [1, {length})")
+        if s == prev:
+            raise ValidationError(f"{where}: duplicate boundary {s}")
+        if s < prev:
+            raise ValidationError(f"{where}: boundaries not increasing at {s}")
+        prev = s
+    return tuple(map(int, starts))
+
+
 @dataclass(frozen=True)
 class AnnotationRecord:
     """One annotated action instance."""
@@ -47,64 +70,91 @@ class AnnotationRecord:
             raise ValidationError(f"{self.instance_id}: length must be >= 1")
         if self.split not in SPLITS:
             raise ValidationError(f"{self.instance_id}: unknown split {self.split!r}")
-        prev = 0
-        for b in self.boundaries:
-            if not 0 < b < self.length:
-                raise ValidationError(
-                    f"{self.instance_id}: boundary {b} outside (0, {self.length})")
-            if b == prev:
-                raise ValidationError(f"{self.instance_id}: duplicate boundary {b}")
-            if b < prev:
-                raise ValidationError(f"{self.instance_id}: boundaries not sorted")
-            prev = b
+        check_starts(self.boundaries, self.length, self.instance_id)
 
 
 # ---------------------------------------------------------------------------
-# annotation files (JSON lines)
+# annotation and prediction files (JSON lines)
 # ---------------------------------------------------------------------------
 
 _FIELDS = ("id", "video_id", "label", "length", "boundaries", "split")
 
 
-def load_annotations(path) -> list[AnnotationRecord]:
-    """Parse and validate a JSONL annotation file.
+def _jsonl_records(path, fields: tuple[str, ...], starts_field: str):
+    """Yield ``(where, obj)`` for each non-blank line of a JSON-lines file.
 
-    Unsorted boundary lists are sorted with a warning; duplicates and
-    out-of-range boundaries are rejected.
+    ``where`` is ``path:line``.  Each line must be valid UTF-8 and a JSON
+    object carrying ``fields``, whose ``starts_field`` is a list of ints
+    (``type(x) is int`` leaves out bools); anything else raises ParseError
+    or ValidationError naming the line.
     """
-    records: list[AnnotationRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # surrogateescape defers a bad byte to the line that holds it
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
             line = line.strip()
             if not line:
                 continue
             try:
+                line.encode("utf-8")
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if not isinstance(obj, dict) or any(k not in obj for k in _FIELDS):
-                raise ParseError(f"{path}:{lineno}: record must carry fields {_FIELDS}")
-            boundaries = obj["boundaries"]
-            if (not isinstance(boundaries, list)
-                    or any(not isinstance(b, int) for b in boundaries)):
-                raise ValidationError(f"{path}:{lineno}: boundaries must be a list of ints")
-            if sorted(boundaries) != boundaries:
-                warnings.warn(f"{path}:{lineno}: boundaries out of order, sorting")
-                boundaries = sorted(boundaries)
-            record = AnnotationRecord(
-                instance_id=str(obj["id"]),
-                video_id=str(obj["video_id"]),
-                label=str(obj["label"]),
-                length=int(obj["length"]),
-                boundaries=tuple(boundaries),
-                split=str(obj["split"]),
-            )
-            try:
-                record.validate()
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            records.append(record)
+            except UnicodeEncodeError:
+                raise ParseError(f"{where}: not UTF-8 text") from None
+            except (ValueError, RecursionError) as exc:
+                raise ParseError(f"{where}: malformed JSON: {exc}") from exc
+            if not isinstance(obj, dict) or any(k not in obj for k in fields):
+                raise ParseError(f"{where}: record must be an object with fields {fields}")
+            starts = obj[starts_field]
+            if not isinstance(starts, list) or not all(type(s) is int for s in starts):
+                raise ValidationError(f"{where}: {starts_field} must be a list of ints")
+            yield where, obj
+
+
+def load_annotations(path) -> list[AnnotationRecord]:
+    """Parse and validate a JSONL annotation file.
+
+    Unsorted boundary lists are sorted with a warning; a ``length`` that is
+    not an int, duplicates and out-of-range boundaries are rejected.
+    """
+    records: list[AnnotationRecord] = []
+    for where, obj in _jsonl_records(path, _FIELDS, "boundaries"):
+        if type(obj["length"]) is not int:
+            raise ValidationError(f"{where}: length must be an int")
+        boundaries = obj["boundaries"]
+        if sorted(boundaries) != boundaries:
+            warnings.warn(f"{where}: boundaries out of order, sorting")
+            boundaries = sorted(boundaries)
+        record = AnnotationRecord(
+            instance_id=str(obj["id"]),
+            video_id=str(obj["video_id"]),
+            label=str(obj["label"]),
+            length=obj["length"],
+            boundaries=tuple(boundaries),
+            split=str(obj["split"]),
+        )
+        try:
+            record.validate()
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
+        records.append(record)
     return records
+
+
+def load_predictions(path, records: Sequence[AnnotationRecord]) -> dict[str, tuple[int, ...]]:
+    """Read a JSONL prediction file into instance id -> starts.
+
+    Each line is ``{"id": str, "starts": [int, ...]}``; the id must name one
+    of ``records`` and the starts must obey ``check_starts`` for that
+    record's length.  A later line for the same id replaces an earlier one.
+    """
+    by_id = {r.instance_id: r for r in records}
+    preds: dict[str, tuple[int, ...]] = {}
+    for where, obj in _jsonl_records(path, ("id", "starts"), "starts"):
+        instance_id = str(obj["id"])
+        if instance_id not in by_id:
+            raise ValidationError(f"{where}: prediction for unknown instance {instance_id!r}")
+        preds[instance_id] = check_starts(obj["starts"], by_id[instance_id].length, where)
+    return preds
 
 
 def save_annotations(records: Iterable[AnnotationRecord], path) -> None:
@@ -154,6 +204,8 @@ def load_features(path) -> np.ndarray:
     if len(blob) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
     flat = np.frombuffer(blob, dtype="<f4", offset=16)
+    if not np.isfinite(flat).all():
+        raise FormatError(f"{path}: non-finite feature values")
     return flat.reshape(n, d).astype(np.float64)
 
 

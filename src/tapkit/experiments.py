@@ -195,12 +195,12 @@ DEFAULT_GRID: tuple[tuple[int, bool], ...] = ((1, False), (1, True), (2, True))
 
 
 def run_ablation(train_data, eval_data, model_config: ModelConfig,
-                 loss_config: LossConfig, grid: Sequence[tuple[int, bool]] = DEFAULT_GRID,
-                 seed: int = 0, smoothing_window: int | None = None
+                 loss_config: LossConfig, grid: Sequence[tuple[int, bool]] = DEFAULT_GRID
                  ) -> list[AblationRow]:
     """Train one parser per (num_units, local on/off) cell and score it.
 
-    Every cell uses the same data, model seed, and optimizer settings;
+    Every cell uses the same data and optimizer settings, and
+    ``loss_config.seed`` seeds both its model init and its shuffle;
     reported numbers are recall/precision/F1 averaged over the absolute
     tolerance grid on ``eval_data``.  ``train_data`` holds
     ``(features, starts, label)`` triples, ``eval_data`` ``(features,
@@ -211,15 +211,14 @@ def run_ablation(train_data, eval_data, model_config: ModelConfig,
     rows = []
     for num_units, use_local in grid:
         cell_model_cfg = replace(model_config, num_units=int(num_units))
-        cell_loss_cfg = replace(loss_config, seed=seed,
+        cell_loss_cfg = replace(loss_config,
                                 w_local=loss_config.w_local if use_local else 0.0)
-        cell_loss_cfg.validate()
-        model = TransParserModel.initialize(cell_model_cfg, seed=seed)
+        model = TransParserModel.initialize(cell_model_cfg, seed=loss_config.seed)
         train(train_data, model, cell_loss_cfg)
         triples = []
         for features, gt_starts, length in eval_data:
             trace = forward(features, model)
-            parsed = extract_boundaries(trace.response, smoothing_window)
+            parsed = extract_boundaries(trace.response)
             triples.append((parsed.starts, tuple(gt_starts), length))
         report: MetricReport = sweep(triples)
         recall, precision, f1 = report.averages("abs")

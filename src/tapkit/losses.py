@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg as la
+from .data import check_starts
 from .errors import ConfigError, InputError, NumericError
 from .model import TransParserModel, forward_graph
 
@@ -61,18 +62,6 @@ class LossConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def _as_starts(segmentation: Sequence[int], n: int) -> tuple[int, ...]:
-    starts = tuple(int(s) for s in segmentation)
-    prev = 0
-    for s in starts:
-        if not 1 <= s < n:
-            raise InputError(f"segment start {s} outside [1, {n})")
-        if s <= prev:
-            raise InputError(f"segment starts must be strictly increasing, got {starts}")
-        prev = s
-    return starts
-
-
 def pair_indices(n: int, starts: Sequence[int]) -> tuple[np.ndarray, ...]:
     """Index arrays (wi, wj, ci, cj) of within- and cross-segment frame pairs.
 
@@ -99,8 +88,7 @@ def local_loss(responses, segmentation, cfg: LossConfig,
     resp = la.as_node(responses)
     n = resp.shape[0]
     if pairs is None:
-        starts = _as_starts(segmentation, n)
-        pairs = pair_indices(n, starts)
+        pairs = pair_indices(n, check_starts(segmentation, n, "local loss"))
     wi, wj, ci, cj = pairs
     if wi.size:
         sim = la.mean_pair_distance(resp, wi, wj)
@@ -145,14 +133,14 @@ def train(dataset, model: TransParserModel, cfg: LossConfig,
     if not dataset:
         raise InputError("training dataset is empty")
     prepared = []
-    for features, segmentation, label in dataset:
+    for i, (features, segmentation, label) in enumerate(dataset):
         arr = np.asarray(features, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != model.config.feature_dim:
             raise InputError(
                 f"features must be (frames x {model.config.feature_dim}), got {arr.shape}")
         if not 0 <= int(label) < model.config.num_classes:
             raise InputError(f"label {label} out of range")
-        starts = _as_starts(segmentation, arr.shape[0])
+        starts = check_starts(segmentation, arr.shape[0], f"training instance {i}")
         prepared.append((arr, starts, int(label), pair_indices(arr.shape[0], starts)))
 
     params = model.parameters()

@@ -23,43 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, ValidationError
+from .errors import InputError
 
 REL_THRESHOLDS: tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(1, 11))
 ABS_THRESHOLDS: tuple[float, ...] = tuple(float(d) for d in range(5, 55, 5))
 
 MODES = ("one-to-one", "independent")
-
-
-@dataclass(frozen=True)
-class Segmentation:
-    """Ground-truth (or predicted) sub-action starts for one instance.
-
-    ``starts`` holds the internal boundaries only: frame 0 trivially starts
-    the first segment and is never listed.
-    """
-
-    instance_id: str
-    label: str
-    length: int
-    starts: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValidationError(f"{self.instance_id}: length must be >= 1")
-        prev = 0
-        for s in self.starts:
-            if not 1 <= s < self.length:
-                raise ValidationError(
-                    f"{self.instance_id}: start {s} outside [1, {self.length})")
-            if s <= prev:
-                raise ValidationError(f"{self.instance_id}: starts must be strictly "
-                                      f"increasing, got {self.starts}")
-            prev = s
-
-    @property
-    def num_segments(self) -> int:
-        return len(self.starts) + 1
 
 
 def match_boundaries(pred: Sequence[float], gt: Sequence[float], d_frames: float,

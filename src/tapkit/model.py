@@ -218,7 +218,7 @@ class TransParserModel:
             (hlen,) = struct.unpack("<I", _read_exact(fh, 4))
             try:
                 header = json.loads(_read_exact(fh, hlen).decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:
                 raise FormatError(f"unreadable checkpoint header: {exc}") from exc
             if not isinstance(header, dict):
                 raise FormatError("checkpoint header must be a JSON object, "
@@ -228,9 +228,15 @@ class TransParserModel:
                 if header.pop("use_layer_norm", False) is not False:
                     raise FormatError("checkpoint uses layer norm, which is no longer supported")
                 labels = header.pop("labels")
+                if any(type(value) is not int for value in header.values()):
+                    raise FormatError(f"checkpoint dimensions must be ints: {header}")
                 config = ModelConfig(**header)
             except (KeyError, TypeError) as exc:
                 raise FormatError(f"incomplete checkpoint header: {exc}") from exc
+            if labels is not None and (not isinstance(labels, list)
+                                       or any(not isinstance(x, str) for x in labels)):
+                raise FormatError(f"checkpoint labels must be null or a list of "
+                                  f"strings, got {labels!r}")
             model = cls.initialize(config, seed=0, labels=labels)
             expected = list(model.named_parameters())
             (count,) = struct.unpack("<I", _read_exact(fh, 4))
@@ -238,16 +244,21 @@ class TransParserModel:
                 raise FormatError(f"checkpoint has {count} weights, expected {len(expected)}")
             for name, node in expected:
                 (nlen,) = struct.unpack("<H", _read_exact(fh, 2))
-                stored = _read_exact(fh, nlen).decode("utf-8")
-                if stored != name:
+                stored = _read_exact(fh, nlen)
+                if stored != name.encode("utf-8"):
                     raise FormatError(f"weight order mismatch: expected {name!r}, got {stored!r}")
                 rows, cols = struct.unpack("<II", _read_exact(fh, 8))
                 if (rows, cols) != node.shape:
                     raise FormatError(f"{name}: shape {(rows, cols)} does not match {node.shape}")
-                raw = _read_exact(fh, rows * cols * 8)
-                np.copyto(node.value, np.frombuffer(raw, dtype="<f8").reshape(rows, cols))
+                values = np.frombuffer(_read_exact(fh, rows * cols * 8), dtype="<f8")
+                if not np.isfinite(values).all():
+                    raise FormatError(f"{name}: non-finite weights")
+                np.copyto(node.value, values.reshape(rows, cols))
             if fh.read(1):
                 raise FormatError("trailing bytes after checkpoint payload")
+        # np.copyto bypasses PatternMiner's own check
+        if any(not unit.miner.patterns.any() for unit in model.units):
+            raise FormatError("checkpoint has an all-zero pattern bank")
         return model
 
 

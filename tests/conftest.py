@@ -1,4 +1,10 @@
-import numpy as np
+import os
+
+# One BLAS thread, set before NumPy loads: the suite's matrices are small, so
+# more threads add CPU time without saving wall time.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from tapkit.model import ModelConfig, TransParserModel
 

@@ -229,8 +229,7 @@ def test_criterion_6_ablation_ordering():
     rows = run_ablation(train_data, test_data,
                         ModelConfig(**MODEL_DEFAULTS),
                         LossConfig(epochs=ABLATION_EPOCHS,
-                                   learning_rate=TRAIN_LR),
-                        seed=0)
+                                   learning_rate=TRAIN_LR))
     by_setting = {(r.num_units, r.local_loss): r for r in rows}
     no_local = by_setting[(1, False)]
     one_unit = by_setting[(1, True)]

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +103,19 @@ class TestEval:
         assert run(["eval", "--pred", pred, "--gt", tiny_data]) == 4
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("length", "x"), ("length", [1]),
+                                             ("length", None), ("length", 9.7),
+                                             ("boundaries", [True])])
+    def test_malformed_annotation_exits_4(self, tiny_data, tmp_path, capsys, field, value):
+        ann = tiny_data / "annotations.jsonl"
+        lines = ann.read_text().splitlines()
+        first = json.loads(lines[0])
+        ann.write_text("\n".join([json.dumps({**first, field: value}), *lines[1:]]) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps({"id": first["id"], "starts": []}) + "\n")
+        assert run(["eval", "--pred", pred, "--gt", tiny_data]) == 4
+        assert f"annotations.jsonl:1: {field}" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_full_pipeline_and_determinism(self, tmp_path, capsys):
@@ -189,6 +203,20 @@ class TestPipeline:
              "--seed", "0"])
         assert run(["patterns", "--data", tiny_data, "--model", model,
                     "--pattern", "99", "--top", "5"]) == 4
+
+    def test_nonfinite_checkpoint_exits_4(self, tiny_data, tmp_path, capsys):
+        model = tmp_path / "model.tpsr"
+        assert run(["train", "--data", tiny_data, "--model-out", model,
+                    "--patterns", "6", "--pattern-dim", "8", "--attn-dim", "4",
+                    "--value-dim", "4", "--hidden-dim", "12", "--epochs", "1"]) == 0
+        blob = bytearray(model.read_bytes())
+        name = b"unit0.ffn.w1"
+        at = blob.index(name) + len(name) + 8  # skip rows and cols
+        blob[at:at + 8] = struct.pack("<d", float("nan"))
+        model.write_bytes(bytes(blob))
+        assert run(["parse", "--data", tiny_data, "--model", model,
+                    "--out", tmp_path / "pred.jsonl"]) == 4
+        assert "unit0.ffn.w1: non-finite" in capsys.readouterr().err
 
 
 class TestBaselineKmeans:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from tapkit.baselines import kmeans_parse
-from tapkit.data import (AnnotationRecord, DatasetStats, SynthConfig,
+from tapkit.data import (AnnotationRecord, DatasetStats, SynthConfig, check_starts,
                          compute_dataset_stats, generate_synthetic,
                          load_annotations, load_dataset, load_features,
-                         resolve_data_dir, save_annotations, save_features,
-                         write_dataset)
+                         load_predictions, resolve_data_dir, save_annotations,
+                         save_features, write_dataset)
 from tapkit.errors import (ConfigError, FormatError, InputError, ParseError,
                            ValidationError)
 from tapkit.metrics import recall_prec_f1
@@ -85,6 +85,75 @@ class TestAnnotations:
             load_annotations(path)
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("length", "x"), ("length", [1]), ("length", None), ("length", 9.7),
+        ("length", True), ("boundaries", [True])])
+    def test_malformed_field_rejected(self, tmp_path, field, value):
+        record = {"id": "a", "video_id": "v", "label": "x", "length": 10,
+                  "boundaries": [2], "split": "train"}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({**record, field: value}) + "\n")
+        with pytest.raises(ValidationError, match=f"bad.jsonl:1: .*{field}"):
+            load_annotations(path)
+
+    def test_non_utf8_line_reports_line_number(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\n" + json.dumps({"id": "a"}).encode()[:-1] + b"\xff}\n")
+        with pytest.raises(ParseError, match=":2: not UTF-8"):
+            load_annotations(path)
+
+
+class TestCheckStarts:
+    def test_valid(self):
+        starts = check_starts((10, 40), 100, "a")
+        assert starts == (10, 40)
+        assert len(starts) + 1 == 3  # segments
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValidationError, match="boundary 0"):
+            check_starts((0,), 100, "a")
+        with pytest.raises(ValidationError, match="boundary 100"):
+            check_starts((100,), 100, "a")
+
+    def test_rejects_unsorted(self):
+        with pytest.raises(ValidationError, match="^a: "):
+            check_starts((40, 10), 100, "a")
+        with pytest.raises(ValidationError, match="duplicate"):
+            check_starts((10, 10), 100, "a")
+
+    def test_rejects_non_ints_and_accepts_numpy_ints(self):
+        for bad in ((True,), (2.0,), ("3",), (np.float64(3),)):
+            with pytest.raises(ValidationError, match="not an int"):
+                check_starts(bad, 100, "a")
+        starts = check_starts(np.array([3, 7]), 100, "a")
+        assert starts == (3, 7) and all(type(s) is int for s in starts)
+
+
+class TestPredictions:
+    RECORDS = [AnnotationRecord("a", "v", "x", 10, (4,), "test"),
+               AnnotationRecord("b", "v", "x", 6, (), "test")]
+
+    def test_reads_starts_by_id(self, tmp_path):
+        path = tmp_path / "pred.jsonl"
+        path.write_text('{"id": "b", "starts": []}\n\n{"id": "a", "starts": [3, 9]}\n')
+        assert load_predictions(path, self.RECORDS) == {"b": (), "a": (3, 9)}
+
+    @pytest.mark.parametrize("line,error,match", [
+        ('{"id": "a", "starts": [true]}', ValidationError, "list of ints"),
+        ('{"id": "a", "starts": [3, 10]}', ValidationError, "boundary 10"),
+        ('{"id": "a", "starts": [5, 5]}', ValidationError, "duplicate"),
+        ('{"id": "ghost", "starts": []}', ValidationError, "unknown instance"),
+        ('{"starts": []}', ParseError, "fields"),
+        ('[1]', ParseError, "fields"),
+        ('{"id": "a", "starts": [', ParseError, "malformed JSON"),
+    ])
+    def test_bad_line_names_path_and_line(self, tmp_path, line, error, match):
+        path = tmp_path / "pred.jsonl"
+        path.write_text('{"id": "b", "starts": [1]}\n' + line + "\n")
+        with pytest.raises(error, match=f"pred.jsonl:2: .*{match}"):
+            load_predictions(path, self.RECORDS)
+
+
 class TestFeatureContainer:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -105,6 +174,15 @@ class TestFeatureContainer:
         path = tmp_path / "x.fseq"
         path.write_bytes(b"XXXX" + b"\x00" * 20)
         with pytest.raises(FormatError, match="not a feature container"):
+            load_features(path)
+
+    def test_nonfinite_rejected_on_load(self, tmp_path):
+        path = tmp_path / "x.fseq"
+        save_features(np.ones((2, 3)), path)
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="non-finite"):
             load_features(path)
 
     def test_zero_frames_rejected_on_save(self, tmp_path):

@@ -126,7 +126,7 @@ class TestRunAblation:
                                 num_classes=2, num_units=2)
         loss_cfg = LossConfig(epochs=10, seed=3)
         rows = run_ablation(train_data, eval_data, model_cfg, loss_cfg,
-                            grid=((2, True),), seed=3)
+                            grid=((2, True),))
         assert len(rows) == 1
 
         from tapkit.losses import train as train_fn
@@ -147,7 +147,7 @@ class TestRunAblation:
                                 attn_dim=4, value_dim=4, hidden_dim=12,
                                 num_classes=2, num_units=2)
         rows = run_ablation(train_data, eval_data, model_cfg,
-                            LossConfig(epochs=2, seed=0), seed=0)
+                            LossConfig(epochs=2))
         assert [(r.num_units, r.local_loss) for r in rows] == [
             (1, False), (1, True), (2, True)]
         assert [r.setting for r in rows] == ["x1", "x1+local", "x2+local"]

@@ -5,7 +5,7 @@ import pytest
 
 import tapkit.linalg as la
 from tapkit.data import SynthConfig, generate_synthetic
-from tapkit.errors import ConfigError, InputError, NumericError
+from tapkit.errors import ConfigError, InputError, NumericError, ValidationError
 from tapkit.losses import (EPSILON_DIV, LossConfig, combined_loss, local_loss,
                            pair_indices, train)
 from tapkit.model import ModelConfig, TransParserModel, forward_graph
@@ -88,11 +88,11 @@ class TestLocalLoss:
 
     def test_bad_starts_rejected(self):
         resp = np.zeros((4, 2))
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError):
             local_loss(resp, [0], CFG)
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError):
             local_loss(resp, [4], CFG)
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError):
             local_loss(resp, [2, 2], CFG)
 
 

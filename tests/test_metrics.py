@@ -3,9 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from tapkit.errors import InputError, ValidationError
+from tapkit.errors import InputError
 from tapkit.metrics import (ABS_THRESHOLDS, REL_THRESHOLDS, MetricReport,
-                            Segmentation, match_boundaries, recall_prec_f1, sweep)
+                            match_boundaries, recall_prec_f1, sweep)
 
 
 def exhaustive_one_to_one(pred, gt, d):
@@ -212,21 +212,3 @@ class TestSweep:
         assert len(rows) == 1 + 20 + 2
         assert rows[-2][0] == "rel" and rows[-2][1] == "avg"
         assert rows[-1][0] == "abs" and rows[-1][1] == "avg"
-
-
-class TestSegmentation:
-    def test_valid(self):
-        seg = Segmentation("a", "jump", 100, (10, 40))
-        assert seg.num_segments == 3
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
-            Segmentation("a", "jump", 100, (0,))
-        with pytest.raises(ValidationError):
-            Segmentation("a", "jump", 100, (100,))
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValidationError):
-            Segmentation("a", "jump", 100, (40, 10))
-        with pytest.raises(ValidationError):
-            Segmentation("a", "jump", 100, (10, 10))

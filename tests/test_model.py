@@ -266,6 +266,33 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="JSON object"):
             TransParserModel.load(path)
 
+    @pytest.mark.parametrize("header", [{"feature_dim": "x"}, {"labels": 5},
+                                        {"num_units": 1.5}, {"num_classes": None}],
+                             ids=["feature_dim-str", "labels-int", "num_units-float",
+                                  "num_classes-null"])
+    def test_mistyped_header_rejected(self, tmp_path, header):
+        path = tmp_path / "model.tpsr"
+        TransParserModel.initialize(SMALL, seed=18).save(path)
+        rewrite_header(path, **header)
+        with pytest.raises(FormatError, match="checkpoint"):
+            TransParserModel.load(path)
+
+    def test_nonfinite_weight_rejected(self, tmp_path):
+        model = TransParserModel.initialize(SMALL, seed=19)
+        model.units[0].ffn_w1.value[2, 3] = np.nan
+        path = tmp_path / "model.tpsr"
+        model.save(path)
+        with pytest.raises(FormatError, match="unit0.ffn.w1: non-finite"):
+            TransParserModel.load(path)
+
+    def test_all_zero_pattern_bank_rejected(self, tmp_path):
+        model = TransParserModel.initialize(SMALL, seed=20)
+        model.units[1].miner.node.value[:] = 0.0
+        path = tmp_path / "model.tpsr"
+        model.save(path)
+        with pytest.raises(FormatError, match="all-zero pattern bank"):
+            TransParserModel.load(path)
+
 
 def read_header(blob):
     """Checkpoint header dict and the offset where the weight payload starts."""

@@ -9,6 +9,7 @@ weighted BCE, then thresholds and peak-picks at inference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,11 +101,14 @@ class TCNTrainConfig:
             raise ConfigError("hidden_channels must be >= 1")
         if self.neighbor_radius < 0:
             raise ConfigError("neighbor_radius must be >= 0")
-        if self.pos_weight is not None and self.pos_weight <= 0:
-            raise ConfigError("pos_weight must be positive when given")
+        if self.pos_weight is not None and not (math.isfinite(self.pos_weight)
+                                                and self.pos_weight > 0):
+            raise ConfigError("pos_weight must be finite and positive when given")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must be inside (0, 1), got {self.threshold}")
-        if self.learning_rate < 0 or not 0 <= self.momentum < 1 or self.epochs < 0:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not 0 <= self.momentum < 1 or self.epochs < 0:
             raise ConfigError("bad optimizer settings")
 
 

@@ -66,6 +66,9 @@ class AnnotationRecord:
     def validate(self) -> None:
         if not self.instance_id:
             raise ValidationError("instance_id must be non-empty")
+        # the id names the instance's feature file inside features/
+        if "/" in self.instance_id or "\0" in self.instance_id:
+            raise ValidationError(f"instance_id {self.instance_id!r} must not hold '/' or NUL")
         if self.length < 1:
             raise ValidationError(f"{self.instance_id}: length must be >= 1")
         if self.split not in SPLITS:

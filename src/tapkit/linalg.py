@@ -227,64 +227,102 @@ def hconcat(a, b) -> Node:
     return Node(np.concatenate([a.value, b.value], axis=1), (a, b), push)
 
 
-def _row_indices(indices, n: int, op: str) -> np.ndarray:
+def gather_rows(a, indices) -> Node:
+    """Select rows ``a[indices]``; backward scatter-adds into the source.
+
+    The push adds with one flat ``np.bincount``, in index order starting from
+    zero, so it is bitwise equal to ``np.add.at`` (``np.add.reduceat`` is not).
+    """
+    a = as_node(a)
+    n, d = a.shape
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
-        raise DimensionError(f"{op}: indices must be 1-D, got shape {idx.shape}")
+        raise DimensionError(f"gather_rows: indices must be 1-D, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise InputError(f"{op}: index out of range for {n} rows")
-    return idx
-
-
-def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """Add ``rows[p]`` into row ``idx[p]`` of an n-row zero matrix.
-
-    One flat ``np.bincount`` adds in input order starting from zero, so the
-    result is bitwise equal to ``np.add.at`` (``np.add.reduceat`` is not).
-    """
-    d = rows.shape[1]
-    flat = (idx[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(flat, weights=rows.ravel(), minlength=n * d).reshape(n, d)
-
-
-def gather_rows(a, indices) -> Node:
-    """Select rows ``a[indices]``; backward scatter-adds into the source."""
-    a = as_node(a)
-    n = a.shape[0]
-    idx = _row_indices(indices, n, "gather_rows")
+        raise InputError(f"gather_rows: index out of range for {n} rows")
 
     def push(g):
-        return (_scatter_rows(idx, g, n),)
+        flat = (idx[:, None] * d + np.arange(d)).ravel()
+        return (np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d),)
 
     return Node(a.value[idx], (a,), push)
 
 
-def mean_pair_distance(a, i, j) -> Node:
-    """Mean Euclidean distance between rows ``a[i[p]]`` and ``a[j[p]]``.
+def segment_distance_ratio(a, starts, lam: float, eps: float) -> Node:
+    """``(mean within-segment distance + lam) / (mean cross-segment distance + eps)``.
 
-    One node for ``mean_all(row_norms(sub(gather_rows(a, i), gather_rows(a,
-    j))))``, equal to that chain bit for bit in value and gradient: the
-    elementwise arithmetic is the same, coincident rows get the zero
-    subgradient, and the push returns the ``i``-scatter before the
-    ``j``-scatter, so :func:`backward` sums them in the chain's order.
+    ``starts`` splits the rows of ``a`` into consecutive segments; the means
+    run over the row distances of the pairs p < q inside one segment
+    (within) or across two (cross).  An empty pair set counts as 0, a zero
+    distance gets the zero subgradient, and a one-row input is a constant.
+
+    Segment k's block is rows [0, e) against its columns [s, e): no pair
+    index arrays.  Value and gradient are bitwise equal to a gather/scatter
+    chain over row-major pair lists.  The means read the distances back in
+    that order.  Each gradient row adds its pair terms one by one from
+    +0.0: NumPy sums a block axis in order only when the rest of the block
+    is at least two wide (hence the zero column for one-column input), and
+    a row sum spanning blocks takes its running total in as its first term.
+    The cross row sums hold no -0.0, so adding them settles every zero's
+    sign.  The parts add as within rows, within columns, cross rows, cross
+    columns.
     """
     a = as_node(a)
-    n = a.shape[0]
-    i = _row_indices(i, n, "mean_pair_distance")
-    j = _row_indices(j, n, "mean_pair_distance")
-    if i.shape != j.shape:
-        raise DimensionError(f"mean_pair_distance: {i.size} i-indices but {j.size} j-indices")
-    if not i.size:
-        raise InputError("mean_pair_distance: needs at least one pair")
-    diff = a.value[i] - a.value[j]
-    r = np.sqrt((diff * diff).sum(axis=1, keepdims=True))
+    v = a.value
+    n, d = v.shape
+    bounds = [0, *(int(s) for s in starts), n]
+    if any(lo >= hi for lo, hi in zip(bounds, bounds[1:])):
+        raise InputError(f"segment_distance_ratio: starts {list(starts)} "
+                         f"are not increasing inside (0, {n})")
+    if n == 1:
+        return Node([[(0.0 + lam) / (0.0 + eps)]])
+    if d == 1:
+        v = np.hstack([v, np.zeros_like(v)])
+    # block k: rows [0, e) against the columns [s, e) of segment k; its rows
+    # before s are cross pairs, the rest the segment's own (m x m) square
+    blocks = []
+    dist = np.zeros((n, n))
+    for s, e in zip(bounds, bounds[1:]):
+        diff = v[:e, None, :] - v[None, s:e, :]
+        r = np.sqrt((diff * diff).sum(axis=2, keepdims=True))
+        dist[:e, s:e] = r[:, :, 0]
+        # x / inf is a zero, whose sign never reaches the gradient
+        blocks.append((s, e, diff, np.where(r > 0.0, r, np.inf)))
+    seg_of = np.repeat(np.arange(len(blocks)), np.diff(bounds))
+    r_within = dist[np.triu(seg_of[:, None] == seg_of, k=1)]
+    r_cross = dist[seg_of[:, None] < seg_of]
+    sim = r_within.mean() if r_within.size else 0.0
+    dissim = r_cross.mean() if r_cross.size else 0.0
+    num = sim + lam
+    den = dissim + eps
 
     def push(g):
-        step = np.divide(diff, r, out=np.zeros_like(diff), where=r > 0.0)
-        step *= g[0, 0] / r.size
-        return (_scatter_rows(i, step, n), _scatter_rows(j, -step, n))
+        g = g[0, 0]
+        # per-pair weights; max(., 1) only guards an empty, unused pair set
+        c_within = g / den / max(r_within.size, 1)
+        c_cross = -g * num / (den * den) / max(r_cross.size, 1)
+        # pair (p, q) adds step(p, q) to row p and -step(p, q) to row q, and
+        # step(q, p) == -step(p, q): every scatter is a column sum, negated
+        # where the pairs run the other way
+        within_i, within_j, cross_i, cross_j = (np.zeros_like(v) for _ in range(4))
+        for s, e, diff, r in blocks:
+            steps = diff / r
+            steps[:s] *= c_cross
+            steps[s:] *= c_within
+            cross_j[s:e] = -steps[:s].sum(axis=0)
+            # a row sum that spans blocks takes its running total in first
+            steps[:s, 0] += cross_i[:s]
+            cross_i[:s] = steps[:s].sum(axis=1)
+            k = np.arange(e - s)
+            upper = steps[s:] * (k[:, None] < k)[:, :, None]
+            within_i[s:e] = upper.sum(axis=1)
+            within_j[s:e] = -upper.sum(axis=0)
+        grad = within_i + within_j
+        grad += cross_i
+        grad += cross_j
+        return (grad[:, :d],)
 
-    return Node([[r.mean()]], (a, a), push)
+    return Node([[num / den]], (a,), push)
 
 
 def row_norms(a) -> Node:

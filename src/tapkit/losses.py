@@ -10,9 +10,9 @@ off the final unit (for a one-unit model, that unit).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -46,67 +46,41 @@ class LossConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.lambda_reg < 0:
-            raise ConfigError(f"lambda_reg must be >= 0, got {self.lambda_reg}")
-        if self.w_local < 0:
-            raise ConfigError(f"w_local must be >= 0, got {self.w_local}")
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        # NaN fails every comparison, so each check asks for the valid range
+        for name in ("lambda_reg", "w_local", "learning_rate", "grad_clip"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.grad_clip < 0:
-            raise ConfigError(f"grad_clip must be >= 0 (0 disables), got {self.grad_clip}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def pair_indices(n: int, starts: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """Index arrays (wi, wj, ci, cj) of within- and cross-segment frame pairs.
-
-    Pairs are unordered (i < j).  Single-frame segments contribute no within
-    pairs; fewer than two segments means no cross pairs.
-    """
-    seg_of = np.searchsorted(np.asarray(starts, dtype=np.intp), np.arange(n), side="right")
-    ii, jj = np.triu_indices(n, k=1)
-    same = seg_of[ii] == seg_of[jj]
-    return ii[same], jj[same], ii[~same], jj[~same]
-
-
-def local_loss(responses, segmentation, cfg: LossConfig,
-               pairs: tuple[np.ndarray, ...] | None = None) -> la.Node:
+def local_loss(responses, segmentation, cfg: LossConfig) -> la.Node:
     """Ratio of within-segment to cross-segment mean response distance.
 
     ``(L_sim + lambda) / (L_dissim + epsilon)`` where both L terms average
     Euclidean distances between attention-response rows over the respective
-    pair sets.  With fewer than two segments there are no cross pairs; the
-    guarded value ``(L_sim + lambda) / epsilon`` is returned and a
-    degenerate-instance warning is emitted.
+    pair sets (:func:`tapkit.linalg.segment_distance_ratio`).  With fewer
+    than two segments there are no cross pairs; the guarded value
+    ``(L_sim + lambda) / epsilon`` is returned and a degenerate-instance
+    warning is emitted.
     """
     cfg.validate()
     resp = la.as_node(responses)
-    n = resp.shape[0]
-    if pairs is None:
-        pairs = pair_indices(n, check_starts(segmentation, n, "local loss"))
-    wi, wj, ci, cj = pairs
-    if wi.size:
-        sim = la.mean_pair_distance(resp, wi, wj)
-    else:
-        sim = la.as_node(0.0)
-    if ci.size:
-        dissim = la.mean_pair_distance(resp, ci, cj)
-    else:
+    starts = check_starts(segmentation, resp.shape[0], "local loss")
+    if not starts:
         warnings.warn("instance has fewer than 2 segments; local loss "
                       "falls back to its epsilon-guarded denominator",
                       stacklevel=2)
-        dissim = la.as_node(0.0)
-    return la.div(la.add(sim, la.as_node(cfg.lambda_reg)),
-                  la.add(dissim, la.as_node(EPSILON_DIV)))
+    return la.segment_distance_ratio(resp, starts, cfg.lambda_reg, EPSILON_DIV)
 
 
-def combined_loss(graph, segmentation, label: int, cfg: LossConfig,
-                  pairs=None) -> tuple[la.Node, float, float]:
+def combined_loss(graph, segmentation, label: int,
+                  cfg: LossConfig) -> tuple[la.Node, float, float]:
     """Weighted local ratio loss plus the global NLL on a forward graph.
 
     Returns ``(total, local_value, global_value)``; with ``w_local`` zero the
@@ -115,7 +89,7 @@ def combined_loss(graph, segmentation, label: int, cfg: LossConfig,
     gl = la.nll_from_logits(graph.logits, label)
     if cfg.w_local == 0:
         return gl, 0.0, gl.item()
-    ll = local_loss(graph.responses[-1], segmentation, cfg, pairs=pairs)
+    ll = local_loss(graph.responses[-1], segmentation, cfg)
     return la.add(la.scale(ll, cfg.w_local), gl), ll.item(), gl.item()
 
 
@@ -141,7 +115,7 @@ def train(dataset, model: TransParserModel, cfg: LossConfig,
         if not 0 <= int(label) < model.config.num_classes:
             raise InputError(f"label {label} out of range")
         starts = check_starts(segmentation, arr.shape[0], f"training instance {i}")
-        prepared.append((arr, starts, int(label), pair_indices(arr.shape[0], starts)))
+        prepared.append((arr, starts, int(label)))
 
     params = model.parameters()
     velocity = [np.zeros_like(p.value) for p in params]
@@ -158,9 +132,9 @@ def train(dataset, model: TransParserModel, cfg: LossConfig,
             for buf in accum:
                 buf.fill(0.0)
             for idx in batch:
-                arr, starts, label, pairs = prepared[idx]
+                arr, starts, label = prepared[idx]
                 graph = forward_graph(arr, model)
-                total, lval, gval = combined_loss(graph, starts, label, cfg, pairs=pairs)
+                total, lval, gval = combined_loss(graph, starts, label, cfg)
                 tval = total.item()
                 if not np.isfinite(tval):
                     raise NumericError(

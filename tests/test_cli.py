@@ -284,6 +284,29 @@ class TestStatsAndSampling:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("args", [
+        ["train", "--lr", "nan"], ["train", "--lr", "inf"],
+        ["train", "--grad-clip", "nan"], ["train", "--lambda", "nan"],
+        ["baseline", "tcn", "--lr", "nan"], ["baseline", "tcn", "--pos-weight", "nan"],
+    ], ids="_".join)
+    def test_non_finite_optimizer_setting_exits_4(self, tiny_data, tmp_path, capsys, args):
+        if args[0] == "train":
+            out = ["--model-out", tmp_path / "m.tpsr"]
+        else:
+            out = ["--out", tmp_path / "p.jsonl"]
+        assert run([*args, "--data", tiny_data, "--epochs", "1", *out]) == 4
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_instance_id_with_nul_exits_4(self, tiny_data, tmp_path, capsys):
+        ann = tiny_data / "annotations.jsonl"
+        lines = ann.read_text().splitlines()
+        first = json.loads(lines[0])
+        first["id"] = "a\u0000b"
+        ann.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n")
+        assert run(["train", "--data", tiny_data, "--model-out", tmp_path / "m.tpsr",
+                    "--epochs", "1"]) == 4
+        assert "annotations.jsonl:1:" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["synth", "--frobnicate"])

@@ -96,6 +96,15 @@ class TestAnnotations:
         with pytest.raises(ValidationError, match=f"bad.jsonl:1: .*{field}"):
             load_annotations(path)
 
+    @pytest.mark.parametrize("instance_id", ["a\u0000b", "../escape", "sub/x"])
+    def test_id_unusable_as_file_name_rejected(self, tmp_path, instance_id):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({
+            "id": instance_id, "video_id": "v", "label": "x", "length": 10,
+            "boundaries": [], "split": "train"}) + "\n")
+        with pytest.raises(ValidationError, match="bad.jsonl:1: .*instance_id"):
+            load_annotations(path)
+
     def test_non_utf8_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_bytes(b"\n" + json.dumps({"id": "a"}).encode()[:-1] + b"\xff}\n")

@@ -161,7 +161,7 @@ class TestOpGradients:
         "matmul", "add", "add_bias", "sub", "mul", "div", "scale",
         "transpose", "relu", "sigmoid", "softmax", "hconcat", "gather",
         "row_norms", "sum_all", "mean_all", "mean_over_rows", "nll", "bce",
-        "mean_pair_distance",
+        "segment_distance_ratio",
     ])
     def test_each_op(self, case):
         rng = np.random.default_rng(hash(case) % (2**32))
@@ -231,10 +231,10 @@ class TestOpGradients:
             y = (rng.uniform(size=(6, 1)) > 0.5).astype(float)
             fn = lambda: la.weighted_bce_with_logits(z, y, pos_weight=3.0)
             params = [z]
-        elif case == "mean_pair_distance":
-            i, j = np.array([0, 2, 1, 0]), np.array([1, 0, 2, 2])
-            fn = lambda: la.mean_pair_distance(a, i, j)
-            params = [a]
+        elif case == "segment_distance_ratio":
+            x = la.Node(rng.normal(size=(7, 3)))
+            fn = lambda: la.segment_distance_ratio(x, [2, 5], 0.5, 0.1)
+            params = [x]
         assert la.grad_check(fn, params, eps=1e-6) < 1e-6
 
 
@@ -256,25 +256,24 @@ class TestGatherScatter:
         assert got.tobytes() == expected.tobytes()
 
 
-class TestMeanPairDistance:
+class TestSegmentDistanceRatio:
     def test_hand_computed(self):
         a = [[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]]
-        out = la.mean_pair_distance(a, [0, 1], [1, 2])
+        out = la.segment_distance_ratio(a, [2], 0.5, 0.25)
+        # within pair (0, 1): 5; cross pairs (0, 2), (1, 2): 1 and sqrt(20)
         assert out.shape == (1, 1)
-        assert abs(out.item() - (5.0 + np.sqrt(20.0)) / 2.0) < 1e-12
+        assert abs(out.item() - 5.5 / ((1.0 + np.sqrt(20.0)) / 2.0 + 0.25)) < 1e-12
 
-    def test_empty_pairs_rejected(self):
-        with pytest.raises(InputError, match="at least one pair"):
-            la.mean_pair_distance(np.zeros((3, 2)), [], [])
+    def test_one_frame_is_constant(self):
+        out = la.segment_distance_ratio(np.ones((1, 3)), [], 2.0, 0.5)
+        assert out.item() == 4.0
+        assert out.parents == ()
 
-    @pytest.mark.parametrize("i, j", [([0, 3], [1, 2]), ([0, 1], [-1, 2])])
-    def test_out_of_range_rejected(self, i, j):
-        with pytest.raises(InputError, match="out of range"):
-            la.mean_pair_distance(np.zeros((3, 2)), i, j)
-
-    def test_mismatched_index_lengths_rejected(self):
-        with pytest.raises(DimensionError):
-            la.mean_pair_distance(np.zeros((3, 2)), [0, 1], [2])
+    @pytest.mark.parametrize("starts", [[0], [3], [2, 1], [1, 1]],
+                             ids=["zero", "at_length", "decreasing", "duplicate"])
+    def test_bad_starts_rejected(self, starts):
+        with pytest.raises(InputError, match="not increasing"):
+            la.segment_distance_ratio(np.zeros((3, 2)), starts, 1.0, 1e-8)
 
 
 class TestBackward:

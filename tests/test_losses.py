@@ -6,8 +6,7 @@ import pytest
 import tapkit.linalg as la
 from tapkit.data import SynthConfig, generate_synthetic
 from tapkit.errors import ConfigError, InputError, NumericError, ValidationError
-from tapkit.losses import (EPSILON_DIV, LossConfig, combined_loss, local_loss,
-                           pair_indices, train)
+from tapkit.losses import EPSILON_DIV, LossConfig, combined_loss, local_loss, train
 from tapkit.model import ModelConfig, TransParserModel, forward_graph
 
 CFG = LossConfig()
@@ -96,54 +95,97 @@ class TestLocalLoss:
             local_loss(resp, [2, 2], CFG)
 
 
+def pair_indices(n, starts):
+    """Index arrays (wi, wj, ci, cj) of within- and cross-segment pairs.
+
+    Pairs are unordered (i < j) and listed in row-major order.
+    """
+    seg_of = np.searchsorted(np.asarray(starts, dtype=np.intp), np.arange(n), side="right")
+    ii, jj = np.triu_indices(n, k=1)
+    same = seg_of[ii] == seg_of[jj]
+    return ii[same], jj[same], ii[~same], jj[~same]
+
+
 def chain_mean_distance(resp, i, j):
-    """The op chain that ``mean_pair_distance`` fuses, built from public ops."""
+    """Mean pair distance from public ops; no pairs give the constant 0."""
+    if not i.size:
+        return la.as_node(0.0)
     return la.mean_all(la.row_norms(la.sub(la.gather_rows(resp, i),
                                            la.gather_rows(resp, j))))
 
 
+def chain_ratio(resp, starts, lam, eps):
+    """The op chain that ``segment_distance_ratio`` fuses, over explicit pairs."""
+    wi, wj, ci, cj = pair_indices(resp.shape[0], starts)
+    return la.div(la.add(chain_mean_distance(resp, wi, wj), la.as_node(lam)),
+                  la.add(chain_mean_distance(resp, ci, cj), la.as_node(eps)))
+
+
 def chain_combined_loss(graph, starts, label, cfg):
     """``combined_loss`` with its local ratio term built from the op chain."""
-    resp = graph.responses[-1]
-    wi, wj, ci, cj = pair_indices(resp.shape[0], starts)
-    local = la.div(la.add(chain_mean_distance(resp, wi, wj), la.as_node(cfg.lambda_reg)),
-                   la.add(chain_mean_distance(resp, ci, cj), la.as_node(EPSILON_DIV)))
+    local = chain_ratio(graph.responses[-1], starts, cfg.lambda_reg, EPSILON_DIV)
     return la.add(la.scale(local, cfg.w_local),
                   la.scale(la.nll_from_logits(graph.logits, label), 1.0))
 
 
 class TestFusedPairDistance:
-    """mean_pair_distance equals the op chain it replaces bit for bit."""
+    """segment_distance_ratio equals the op chain over pair lists bit for bit."""
 
     @staticmethod
-    def _both(values, i, j, weight):
-        results = []
-        for build in (chain_mean_distance, la.mean_pair_distance):
-            a = la.Node(values.copy())
-            out = build(a, i, j)
-            # a non-unit upstream gradient, as inside the ratio loss
-            la.backward(la.scale(out, weight))
-            results.append((out.value.tobytes(), a.grad.tobytes()))
-        return results
+    def _assert_same(values, starts):
+        # upstream weights of both signs, as the ratio loss gets inside a step
+        for weight in (-0.7, 1.3):
+            results = []
+            for build in (chain_ratio, la.segment_distance_ratio):
+                a = la.Node(values.copy())
+                out = build(a, starts, 1.0, EPSILON_DIV)
+                la.backward(la.scale(out, weight))
+                results.append((out.value.tobytes(),
+                                None if a.grad is None else a.grad.tobytes()))
+            assert results[0] == results[1]
 
     def test_random_instances(self):
         rng = np.random.default_rng(21)
-        for _ in range(25):
-            n = int(rng.integers(2, 60))
-            values = rng.normal(size=(n, int(rng.integers(1, 9))))
+        for _ in range(40):
+            n = int(rng.integers(2, 90))
+            values = rng.normal(size=(n, int(rng.choice([1, 2, 5, 8, 9, 32]))))
             values[n - 1] = values[0]  # coincident rows give a zero-distance pair
-            p = int(rng.integers(1, 3 * n))
-            i = rng.integers(0, n, size=p)
-            j = rng.integers(0, n, size=p)
-            i[0], j[0] = 0, n - 1
-            chain, fused = self._both(values, i, j, rng.normal())
-            assert fused == chain
+            count = min(int(rng.integers(0, 7)), n - 1)
+            starts = sorted(rng.choice(np.arange(1, n), size=count, replace=False).tolist())
+            self._assert_same(values, starts)
 
     def test_single_pair_and_zero_distance(self):
         values = np.array([[1.0, -2.0, 0.5], [1.0, -2.0, 0.5], [0.0, 3.0, 4.0]])
-        for i, j in (([0], [2]), ([0], [1]), ([1], [1]), ([0, 1, 2], [1, 0, 2])):
-            chain, fused = self._both(values, np.array(i), np.array(j), -0.7)
-            assert fused == chain
+        for rows, starts in ((values[:2], []), (values[:2], [1]), (values[1:], []),
+                             (values, [1]), (values, [2]), (np.zeros((4, 3)), [2])):
+            self._assert_same(rows, starts)
+
+    def test_one_segment(self):
+        values = np.random.default_rng(22).normal(size=(30, 4))
+        self._assert_same(values, [])
+
+    def test_single_frame_segments(self):
+        values = np.random.default_rng(23).normal(size=(12, 3))
+        self._assert_same(values, list(range(1, 12)))
+
+    def test_one_frame_instance(self):
+        self._assert_same(np.array([[0.2, 0.8]]), [])
+
+    def test_constant_column(self):
+        # every difference in column 1 is zero, so each of its pair terms
+        # is a signed zero: the sums must land on +0.0 as a scatter does
+        rng = np.random.default_rng(24)
+        for n, starts in ((20, []), (20, [7]), (25, [3, 11, 18]), (9, list(range(1, 9)))):
+            values = rng.normal(size=(n, 3))
+            values[:, 1] = 0.25
+            self._assert_same(values, starts)
+
+    def test_pair_indices_split(self):
+        wi, wj, ci, cj = pair_indices(4, [2])
+        within = set(zip(wi.tolist(), wj.tolist()))
+        cross = set(zip(ci.tolist(), cj.tolist()))
+        assert within == {(0, 1), (2, 3)}
+        assert cross == {(0, 2), (0, 3), (1, 2), (1, 3)}
 
     def test_two_unit_model_gradients(self):
         from conftest import spread_features, spread_model
@@ -311,10 +353,3 @@ class TestLossConfig:
             LossConfig(w_local=-1.0).validate()
         with pytest.raises(ConfigError):
             LossConfig(momentum=1.0).validate()
-
-    def test_pair_indices_split(self):
-        wi, wj, ci, cj = pair_indices(4, [2])
-        within = set(zip(wi.tolist(), wj.tolist()))
-        cross = set(zip(ci.tolist(), cj.tolist()))
-        assert within == {(0, 1), (2, 3)}
-        assert cross == {(0, 2), (0, 3), (1, 2), (1, 3)}

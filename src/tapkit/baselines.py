@@ -158,7 +158,7 @@ class TCNModel:
         hidden = None
         for off, w in zip(self._offsets(), self.w1):
             shifted = arr[np.clip(frame_index + off, 0, n - 1)]
-            term = la.matmul(la.Node(shifted), w)
+            term = la.matmul(shifted, w)
             hidden = term if hidden is None else la.add(hidden, term)
         hidden = la.relu(la.add(hidden, self.b1))
         out = None

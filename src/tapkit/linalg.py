@@ -1,7 +1,8 @@
 """Dense float64 matrices with reverse-mode gradient support.
 
-Everything downstream (the attention units, both losses, the TCN baseline)
-is built from the operations in this module.  Values are plain 2-D numpy
+Both losses and the TCN baseline are built from the operations in this
+module; an attention unit is one node with a hand-written backward
+(:mod:`tapkit.model`) on the same :class:`Node`.  Values are plain 2-D numpy
 arrays wrapped in graph :class:`Node` objects; each operation records how to
 push an upstream gradient back to its operands, and :func:`backward` replays
 those rules from a scalar output.  Analytic gradients are verified against
@@ -77,16 +78,22 @@ def as_node(x) -> Node:
 # ---------------------------------------------------------------------------
 
 def matmul(a, b) -> Node:
-    """Matrix product ``a @ b``; differentiable in both operands."""
+    """Matrix product ``a @ b``; differentiable in each Node operand.
+
+    An operand that is not a Node is a constant: it is not a parent and
+    gets no gradient matmul.
+    """
+    a_grad, b_grad = isinstance(a, Node), isinstance(b, Node)
     a, b = as_node(a), as_node(b)
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: cannot multiply {a.shape} by {b.shape}")
     av, bv = a.value, b.value
+    parents = tuple(n for n, wanted in ((a, a_grad), (b, b_grad)) if wanted)
 
     def push(g):
-        return (g @ bv.T, av.T @ g)
+        return ((g @ bv.T,) if a_grad else ()) + ((av.T @ g,) if b_grad else ())
 
-    return Node(av @ bv, (a, b), push)
+    return Node(av @ bv, parents, push if parents else None)
 
 
 def add(a, b) -> Node:

@@ -11,6 +11,7 @@ loss consume.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 from typing import BinaryIO, Iterable, Iterator, Sequence
@@ -215,7 +216,13 @@ class TransParserModel:
             (version,) = struct.unpack("<I", _read_exact(fh, 4))
             if version != CHECKPOINT_FORMAT_VERSION:
                 raise FormatError(f"unsupported checkpoint version {version}")
+            size = os.fstat(fh.fileno()).st_size
             (hlen,) = struct.unpack("<I", _read_exact(fh, 4))
+            # sizes are checked against the file before anything is read or
+            # allocated for them
+            if hlen > size - fh.tell():
+                raise FormatError(f"checkpoint header length {hlen} exceeds the "
+                                  f"{size - fh.tell()} bytes left in the file")
             try:
                 header = json.loads(_read_exact(fh, hlen).decode("utf-8"))
             except (ValueError, RecursionError) as exc:
@@ -237,6 +244,10 @@ class TransParserModel:
                                        or any(not isinstance(x, str) for x in labels)):
                 raise FormatError(f"checkpoint labels must be null or a list of "
                                   f"strings, got {labels!r}")
+            needed = 8 * _weight_count(config)
+            if needed > size - fh.tell():
+                raise FormatError(f"checkpoint dimensions need {needed} bytes of weights, "
+                                  f"the file has {size - fh.tell()} left")
             model = cls.initialize(config, seed=0, labels=labels)
             expected = list(model.named_parameters())
             (count,) = struct.unpack("<I", _read_exact(fh, 4))
@@ -260,6 +271,15 @@ class TransParserModel:
         if any(not unit.miner.patterns.any() for unit in model.units):
             raise FormatError("checkpoint has an all-zero pattern bank")
         return model
+
+
+def _weight_count(c: ModelConfig) -> int:
+    """Number of float64 weights a model with config ``c`` holds."""
+    head = c.feature_dim * c.attn_dim + c.pattern_dim * (c.attn_dim + c.value_dim)
+    unit = (c.num_patterns * c.pattern_dim + NUM_HEADS * head
+            + (NUM_HEADS * c.value_dim + 2) * c.feature_dim
+            + (2 * c.feature_dim + 1) * c.hidden_dim)
+    return c.num_units * unit + c.feature_dim * c.num_classes
 
 
 def _read_exact(fh: BinaryIO, n: int) -> bytes:
@@ -301,23 +321,109 @@ class ForwardTrace:
         return self.features[-1]
 
 
-def _unit_forward(feats: la.Node, unit: SPSUnit) -> tuple[la.Node, la.Node]:
-    alphas = []
-    head_outs = []
+def _unit_values(x: np.ndarray, unit: SPSUnit) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """One unit's forward on plain arrays: ``(out, response, saved)``.
+
+    ``saved`` holds what :func:`_unit_grads` reads.  The arithmetic and the
+    memory layouts are those of the chain of public ops (per head
+    ``softmax_rows(matmul(x @ w_q, transpose(bank @ w_k))) @ (bank @ w_v)``,
+    then ``hconcat``, the merge fc, the residual add and the FFN) that the
+    tests keep as an oracle, so values and gradients are bitwise equal to
+    it.
+    """
+    bank = unit.miner.patterns
+    heads = []
     for head in unit.heads:
-        queries = la.matmul(feats, head.w_q)
-        keys = la.matmul(unit.miner.node, head.w_k)
-        alpha = la.softmax_rows(la.matmul(queries, la.transpose(keys)))
-        alphas.append(alpha)
-        head_outs.append(la.matmul(alpha, la.matmul(unit.miner.node, head.w_v)))
-    merged = la.linear(la.hconcat(head_outs[0], head_outs[1]), unit.merge_w, unit.merge_b)
-    amplified = la.add(feats, merged)
-    hidden = la.relu(la.linear(amplified, unit.ffn_w1, unit.ffn_b1))
-    out = la.linear(hidden, unit.ffn_w2, unit.ffn_b2)
+        q = x @ head.w_q.value
+        # contiguous, as a graph node stores it: a transposed view
+        # multiplies to different bits
+        k_t = np.ascontiguousarray((bank @ head.w_k.value).T)
+        scores = q @ k_t
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        a = e / e.sum(axis=1, keepdims=True)
+        v = bank @ head.w_v.value
+        heads.append((q, k_t, a, v, a @ v))
+    cat = np.concatenate([o for *_, o in heads], axis=1)
+    amplified = x + (cat @ unit.merge_w.value + unit.merge_b.value)
+    pre = amplified @ unit.ffn_w1.value + unit.ffn_b1.value
+    mask = pre > 0.0
+    hidden = np.where(mask, pre, 0.0)
+    out = hidden @ unit.ffn_w2.value + unit.ffn_b2.value
     # single reported response per frame: mean of the two heads' rows,
     # which keeps every row a probability vector
-    response = la.scale(la.add(alphas[0], alphas[1]), 0.5)
-    return out, response
+    response = (heads[0][2] + heads[1][2]) * 0.5
+    return out, response, (x, heads, cat, amplified, mask, hidden)
+
+
+def _unit_grads(unit: SPSUnit, saved: tuple, g_out: np.ndarray,
+                g_resp: np.ndarray | None, need_input: bool) -> list[np.ndarray]:
+    """The chain's pushes replayed by hand: input gradient (if asked), then
+    one gradient per parameter in ``named_parameters`` order.
+
+    Sums run in the chain's consumer order: a head's probabilities take the
+    value path before the response, the bank sums key 0, value 0, key 1,
+    value 1, and the input sums query 0, query 1, then the residual.  The
+    contiguous copies stand where ``backward`` copied a transposed or
+    sliced gradient.
+    """
+    x, heads, cat, amplified, mask, hidden = saved
+    bank = unit.miner.patterns
+    g_pre = (g_out @ unit.ffn_w2.value.T) * mask
+    g_amp = g_pre @ unit.ffn_w1.value.T
+    g_cat = g_amp @ unit.merge_w.value.T
+    width = cat.shape[1] // NUM_HEADS
+    g_bank = g_x = None
+    head_grads = []
+    for h, (head, (q, k_t, a, v, _)) in enumerate(zip(unit.heads, heads)):
+        g_o = np.ascontiguousarray(g_cat[:, h * width:(h + 1) * width])
+        g_a = g_o @ v.T
+        if g_resp is not None:
+            g_a += g_resp * 0.5
+        g_s = a * (g_a - (g_a * a).sum(axis=1, keepdims=True))
+        g_q = g_s @ k_t.T
+        g_k = np.ascontiguousarray((q.T @ g_s).T)
+        g_v = a.T @ g_o
+        from_bank = g_k @ head.w_k.value.T
+        g_bank = from_bank if g_bank is None else g_bank + from_bank
+        g_bank += g_v @ head.w_v.value.T
+        if need_input:
+            from_q = g_q @ head.w_q.value.T
+            g_x = from_q if g_x is None else g_x + from_q
+        head_grads += [x.T @ g_q, bank.T @ g_k, bank.T @ g_v]
+    grads = [g_bank, *head_grads,
+             cat.T @ g_amp, g_amp.sum(axis=0, keepdims=True),
+             amplified.T @ g_pre, g_pre.sum(axis=0, keepdims=True),
+             hidden.T @ g_out, g_out.sum(axis=0, keepdims=True)]
+    if need_input:
+        g_x += g_amp
+        grads.insert(0, g_x)
+    return grads
+
+
+def _unit_nodes(x, unit: SPSUnit) -> tuple[la.Node, la.Node]:
+    """One unit in the graph: an output node and a parentless response node.
+
+    A plain-array input is a constant: not a parent, no input gradient.
+    The response node only keeps its gradient for the output node's push;
+    it has the higher id, so ``backward`` always runs it first.  The
+    response's gradient reaches the weights through the output node, which
+    every loss reaches through the logits.
+    """
+    need_input = isinstance(x, la.Node)
+    out, response, saved = _unit_values(x.value if need_input else x, unit)
+    held = [None]
+
+    def push_response(g):
+        held[0] = g
+        return ()
+
+    def push(g):
+        g_resp, held[0] = held[0], None
+        return _unit_grads(unit, saved, g, g_resp, need_input)
+
+    params = [node for _, node in unit.named_parameters()]
+    out_node = la.Node(out, [x, *params] if need_input else params, push)
+    return out_node, la.Node(response, (), push_response)
 
 
 def _check_features(features: np.ndarray, feature_dim: int) -> np.ndarray:
@@ -330,40 +436,42 @@ def _check_features(features: np.ndarray, feature_dim: int) -> np.ndarray:
         raise DimensionError(f"features have dim {arr.shape[1]}, model expects {feature_dim}")
     if not np.isfinite(arr).all():
         raise NumericError("features contain non-finite entries")
-    return arr
+    # the units multiply the input as stored; graph nodes hold C order
+    return np.ascontiguousarray(arr)
 
 
 def forward_graph(features, model: TransParserModel) -> GraphTrace:
     """Differentiable forward pass through every unit plus the classifier."""
-    arr = _check_features(features, model.config.feature_dim)
-    node = la.Node(arr)
+    x = _check_features(features, model.config.feature_dim)
     responses: list[la.Node] = []
     outs: list[la.Node] = []
     for unit in model.units:
-        node, response = _unit_forward(node, unit)
+        x, response = _unit_nodes(x, unit)
         responses.append(response)
-        outs.append(node)
-    logits = la.mean_over_rows(la.matmul(node, model.classifier_w))
+        outs.append(x)
+    logits = la.mean_over_rows(la.matmul(x, model.classifier_w))
     return GraphTrace(responses=responses, features=outs, logits=logits)
 
 
 def forward(features, model: TransParserModel, instance_id: str = "") -> ForwardTrace:
     """Inference forward pass; validates that every output stays finite.
 
-    The trace holds the graph's own value arrays, not copies: the graph is
-    dropped on return, so nothing else refers to them.
+    Runs the same unit arithmetic as :func:`forward_graph` on plain arrays
+    and builds no graph, so its values equal the graph's bit for bit.
     """
-    graph = forward_graph(features, model)
-    trace = ForwardTrace(
-        instance_id=instance_id,
-        responses=[r.value for r in graph.responses],
-        features=[f.value for f in graph.features],
-        logits=graph.logits.value,
-    )
-    for arr in (*trace.responses, *trace.features, trace.logits):
+    x = _check_features(features, model.config.feature_dim)
+    responses: list[np.ndarray] = []
+    outs: list[np.ndarray] = []
+    for unit in model.units:
+        x, response, _ = _unit_values(x, unit)
+        responses.append(response)
+        outs.append(x)
+    logits = (x @ model.classifier_w.value).mean(axis=0, keepdims=True)
+    for arr in (*responses, *outs, logits):
         if not np.isfinite(arr).all():
             raise NumericError("forward pass produced non-finite values")
-    return trace
+    return ForwardTrace(instance_id=instance_id, responses=responses, features=outs,
+                        logits=logits)
 
 
 def retrieve_top_frames(traces: Iterable[ForwardTrace], pattern_index: int,

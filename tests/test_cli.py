@@ -219,6 +219,23 @@ class TestPipeline:
         assert "unit0.ffn.w1: non-finite" in capsys.readouterr().err
 
 
+    def test_checkpoint_dimension_beyond_the_file_exits_4(self, tiny_data, tmp_path,
+                                                           capsys):
+        model = tmp_path / "model.tpsr"
+        assert run(["train", "--data", tiny_data, "--model-out", model,
+                    "--patterns", "6", "--pattern-dim", "8", "--attn-dim", "4",
+                    "--value-dim", "4", "--hidden-dim", "12", "--epochs", "0"]) == 0
+        blob = model.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + hlen])
+        header["num_patterns"] = 10**12
+        raw = json.dumps(header).encode("utf-8")
+        model.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + hlen:])
+        capsys.readouterr()
+        assert run(["parse", "--data", tiny_data, "--model", model,
+                    "--out", tmp_path / "pred.jsonl"]) == 4
+        assert "bytes of weights" in capsys.readouterr().err
+
 class TestBaselineKmeans:
     def test_default_k_runs_on_default_corpus(self, tmp_path):
         data_dir = tmp_path / "data"

@@ -238,6 +238,28 @@ class TestOpGradients:
         assert la.grad_check(fn, params, eps=1e-6) < 1e-6
 
 
+class TestMatmulConstants:
+    """A plain-array matmul operand is a constant: no parent, no gradient matmul."""
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_array_operand_is_not_a_parent(self, side):
+        const = np.random.default_rng(8).normal(size=(4, 3))
+        grads = []
+        for wrap in (la.Node, np.copy):
+            w = la.Node(np.random.default_rng(9).normal(size=(3, 2) if side == "left" else (2, 4)))
+            operand = wrap(const)
+            out = la.matmul(operand, w) if side == "left" else la.matmul(w, operand)
+            la.backward(_glue_to_scalar(out))
+            grads.append((out.value.tobytes(), w.grad.tobytes()))
+        assert out.parents == (w,)
+        assert grads[0] == grads[1]
+
+    def test_two_arrays_make_a_leaf(self):
+        out = la.matmul(np.eye(2), np.ones((2, 3)))
+        assert out.parents == () and out._push is None
+        assert np.array_equal(out.value, np.ones((2, 3)))
+
+
 class TestGatherScatter:
     """gather_rows' push must add in the same order as ``np.add.at``."""
 

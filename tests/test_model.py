@@ -8,8 +8,9 @@ import pytest
 import tapkit.linalg as la
 from tapkit.errors import (ConfigError, DimensionError, FormatError, InputError,
                            NumericError)
-from tapkit.model import (ForwardTrace, ModelConfig, PatternMiner, TransParserModel,
-                          forward, forward_graph, retrieve_top_frames)
+from tapkit.model import (ForwardTrace, GraphTrace, ModelConfig, PatternMiner, TransParserModel,
+                          _unit_nodes, _weight_count, forward, forward_graph,
+                          retrieve_top_frames)
 
 SMALL = ModelConfig(feature_dim=6, pattern_dim=5, num_patterns=3, attn_dim=4,
                     value_dim=4, hidden_dim=7, num_classes=3, num_units=2)
@@ -160,6 +161,162 @@ class TestForward:
         assert err < 1e-5
 
 
+def chain_unit(feats, unit):
+    """The op chain the fused unit replaces, built from the public ops."""
+    alphas = []
+    head_outs = []
+    for head in unit.heads:
+        queries = la.matmul(feats, head.w_q)
+        keys = la.matmul(unit.miner.node, head.w_k)
+        alpha = la.softmax_rows(la.matmul(queries, la.transpose(keys)))
+        alphas.append(alpha)
+        head_outs.append(la.matmul(alpha, la.matmul(unit.miner.node, head.w_v)))
+    merged = la.linear(la.hconcat(head_outs[0], head_outs[1]), unit.merge_w, unit.merge_b)
+    amplified = la.add(feats, merged)
+    hidden = la.relu(la.linear(amplified, unit.ffn_w1, unit.ffn_b1))
+    out = la.linear(hidden, unit.ffn_w2, unit.ffn_b2)
+    response = la.scale(la.add(alphas[0], alphas[1]), 0.5)
+    return out, response
+
+
+def chain_forward_graph(features, model):
+    """``forward_graph`` over :func:`chain_unit`, the input a leaf node."""
+    node = la.Node(np.asarray(features, dtype=np.float64))
+    responses, outs = [], []
+    for unit in model.units:
+        node, response = chain_unit(node, unit)
+        responses.append(response)
+        outs.append(node)
+    logits = la.mean_over_rows(la.matmul(node, model.classifier_w))
+    return GraphTrace(responses=responses, features=outs, logits=logits)
+
+
+def glue(node, seed):
+    """Scalar reading every entry of ``node`` through fixed signed weights."""
+    w = np.random.default_rng(seed).normal(size=node.shape)
+    return la.mean_all(la.mul(node, la.Node(w)))
+
+
+def random_config(rng, num_units):
+    dims = [1, 2, 3, 4, 5, 7, 8, 13]
+    return ModelConfig(*(int(rng.choice(dims)) for _ in range(7)), num_units=num_units)
+
+
+class TestFusedUnit:
+    """The fused unit equals the public-op chain bit for bit."""
+
+    @staticmethod
+    def _unit_run(build, x, unit, weight, with_response):
+        node = la.Node(x.copy())
+        out, response = build(node, unit)
+        root = glue(out, 1)
+        if with_response:
+            root = la.add(root, glue(response, 2))
+        la.backward(la.scale(root, weight))
+        return [out.value.tobytes(), response.value.tobytes(), node.grad.tobytes()] + [
+            p.grad.tobytes() for _, p in unit.named_parameters()]
+
+    def test_random_units_match_chain(self):
+        from conftest import spread_model
+        rng = np.random.default_rng(31)
+        for case in range(24):
+            cfg = random_config(rng, num_units=1)
+            unit = spread_model(cfg, seed=case).units[0]
+            n = int(rng.integers(1, 40))
+            x = rng.normal(size=(n, cfg.feature_dim)) * rng.uniform(0.5, 6.0)
+            # upstream weights of both signs, with and without a response term
+            for weight in (-0.7, 1.3):
+                for with_response in (False, True):
+                    chain = self._unit_run(chain_unit, x, unit, weight, with_response)
+                    fused = self._unit_run(_unit_nodes, x, unit, weight, with_response)
+                    assert chain == fused, (case, weight, with_response)
+
+    def test_unit_gradients_pass_grad_check(self):
+        from conftest import spread_model
+        cfg = ModelConfig(feature_dim=4, pattern_dim=3, num_patterns=5, attn_dim=3,
+                          value_dim=2, hidden_dim=6, num_classes=2, num_units=1)
+        unit = spread_model(cfg, seed=3).units[0]
+        x = la.Node(np.random.default_rng(3).normal(size=(5, 4)))
+        params = [x, *(p for _, p in unit.named_parameters())]
+
+        def loss():
+            out, response = _unit_nodes(x, unit)
+            return la.add(glue(out, 1), la.scale(glue(response, 2), 3.0))
+
+        assert la.grad_check(loss, params, eps=1e-6) < 1e-6
+
+    @pytest.mark.parametrize("num_units", [1, 2])
+    @pytest.mark.parametrize("w_local", [0.0, 1.0])
+    def test_model_gradients_match_chain(self, num_units, w_local):
+        from conftest import spread_features, spread_model
+        from tapkit.losses import LossConfig, combined_loss
+        rng = np.random.default_rng(32 + num_units)
+        cfg = LossConfig(w_local=w_local)
+        for case in range(6):
+            model_cfg = random_config(rng, num_units)
+            model = spread_model(model_cfg, seed=case)
+            n = int(rng.integers(2, 30))
+            feats = spread_features(case, (n, model_cfg.feature_dim))
+            starts = sorted(rng.choice(np.arange(1, n), size=min(2, n - 1),
+                                       replace=False).tolist())
+            label = case % model_cfg.num_classes
+            results = []
+            for build in (chain_forward_graph, forward_graph):
+                graph = build(feats, model)
+                total = combined_loss(graph, starts, label, cfg)[0]
+                # the first unit's response gets a gradient too
+                la.backward(la.add(total, glue(graph.responses[0], 3)))
+                results.append(
+                    [graph.logits.value.tobytes()]
+                    + [r.value.tobytes() for r in graph.responses]
+                    + [f.value.tobytes() for f in graph.features]
+                    + [p.grad.tobytes() for p in model.parameters()])
+            assert results[0] == results[1], case
+
+    def test_forward_equals_forward_graph(self):
+        rng = np.random.default_rng(34)
+        for case in range(8):
+            model_cfg = random_config(rng, num_units=int(rng.integers(1, 4)))
+            model = TransParserModel.initialize(model_cfg, seed=case)
+            feats = rng.normal(size=(int(rng.integers(1, 30)), model_cfg.feature_dim))
+            graph = forward_graph(feats, model)
+            trace = forward(feats, model)
+            assert trace.logits.tobytes() == graph.logits.value.tobytes()
+            for got, node in zip(trace.responses + trace.features,
+                                 graph.responses + graph.features):
+                assert got.tobytes() == node.value.tobytes()
+
+    def test_input_of_first_unit_is_a_constant(self):
+        model = TransParserModel.initialize(SMALL, seed=35)
+        graph = forward_graph(np.random.default_rng(35).normal(size=(4, 6)), model)
+        first, second = graph.features
+        assert first.parents == tuple(p for _, p in model.units[0].named_parameters())
+        assert second.parents[0] is first
+        assert all(r.parents == () for r in graph.responses)
+
+    def test_training_matches_chain(self, monkeypatch):
+        import tapkit.losses as losses
+        from tapkit.data import SynthConfig, generate_synthetic
+        synth = SynthConfig(num_prototypes=3, feature_dim=8, num_actions=2,
+                            instances_per_action=6, seg_len_range=(3, 6),
+                            transition_width=1, noise_sigma=0.05, seed=3)
+        features, records, _ = generate_synthetic(synth)
+        labels = sorted({r.label for r in records})
+        dataset = [(f, r.boundaries, labels.index(r.label))
+                   for f, r in zip(features, records)]
+        cfg = ModelConfig(feature_dim=8, pattern_dim=8, num_patterns=6, attn_dim=4,
+                          value_dim=4, hidden_dim=12, num_classes=2, num_units=2)
+        for loss_cfg in (losses.LossConfig(epochs=3),
+                         losses.LossConfig(epochs=2, batch_size=3, w_local=0.0)):
+            hashes = []
+            for build in (chain_forward_graph, forward_graph):
+                monkeypatch.setattr(losses, "forward_graph", build)
+                model, history = losses.train(dataset, TransParserModel.initialize(cfg, 4),
+                                              loss_cfg)
+                hashes.append((history, [p.value.tobytes() for p in model.parameters()]))
+            assert hashes[0] == hashes[1]
+
+
 class TestRetrieveTopFrames:
     def _trace(self, iid, resp):
         resp = np.asarray(resp, dtype=float)
@@ -291,6 +448,39 @@ class TestCheckpoint:
         path = tmp_path / "model.tpsr"
         model.save(path)
         with pytest.raises(FormatError, match="all-zero pattern bank"):
+            TransParserModel.load(path)
+
+
+    def test_weight_count_matches_initialized_model(self):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            cfg = random_config(rng, num_units=int(rng.integers(1, 4)))
+            model = TransParserModel.initialize(cfg, seed=0)
+            assert _weight_count(cfg) == sum(p.value.size for p in model.parameters())
+
+    @pytest.mark.parametrize("dims", [{"num_patterns": 10**12}, {"num_units": 10**9},
+                                      {"hidden_dim": 4000}],
+                             ids=["patterns-huge", "units-huge", "hidden-fits-in-memory"])
+    def test_dimensions_beyond_the_file_rejected_before_allocation(self, tmp_path,
+                                                                   monkeypatch, dims):
+        path = tmp_path / "model.tpsr"
+        TransParserModel.initialize(SMALL, seed=23).save(path)
+        rewrite_header(path, **dims)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("weights allocated for an unchecked header")
+
+        monkeypatch.setattr(TransParserModel, "initialize", no_init)
+        with pytest.raises(FormatError, match="bytes of weights"):
+            TransParserModel.load(path)
+
+    @pytest.mark.parametrize("hlen", [2**32 - 1, 10**6])
+    def test_header_length_beyond_the_file_rejected(self, tmp_path, hlen):
+        path = tmp_path / "model.tpsr"
+        TransParserModel.initialize(SMALL, seed=24).save(path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:8] + struct.pack("<I", hlen) + blob[12:])
+        with pytest.raises(FormatError, match="header length"):
             TransParserModel.load(path)
 
 

@@ -255,6 +255,26 @@ def gather_rows(a, indices) -> Node:
     return Node(a.value[idx], (a,), push)
 
 
+# Float64 elements in one row tile of a segment block: 256 KiB, so a tile's
+# pair differences stay in L2 cache.  A block row wider than this is a tile.
+_TILE_ELEMS = 32768
+
+
+def _fold_column_sum(part, out, carry: bool) -> None:
+    """``out = part.sum(axis=0)``, with ``out``'s running total first if ``carry``.
+
+    The total goes in as part of the first row, so the sum adds the rows in
+    the same order as one sum over every tile would; that row is restored.
+    """
+    if not carry:
+        part.sum(axis=0, out=out)
+        return
+    first = part[0].copy()
+    part[0] += out
+    part.sum(axis=0, out=out)
+    part[0] = first
+
+
 def segment_distance_ratio(a, starts, lam: float, eps: float) -> Node:
     """``(mean within-segment distance + lam) / (mean cross-segment distance + eps)``.
 
@@ -264,12 +284,19 @@ def segment_distance_ratio(a, starts, lam: float, eps: float) -> Node:
     distance gets the zero subgradient, and a one-row input is a constant.
 
     Segment k's block is rows [0, e) against its columns [s, e): no pair
-    index arrays.  Value and gradient are bitwise equal to a gather/scatter
-    chain over row-major pair lists.  The means read the distances back in
-    that order.  Each gradient row adds its pair terms one by one from
-    +0.0: NumPy sums a block axis in order only when the rest of the block
-    is at least two wide (hence the zero column for one-column input), and
-    a row sum spanning blocks takes its running total in as its first term.
+    index arrays.  Forward and backward walk each block in row tiles of at
+    most ``_TILE_ELEMS`` pair-difference elements, written into one scratch
+    buffer.  Between them the node keeps only the n x n distance matrix;
+    the backward recomputes each tile's differences.
+
+    Value and gradient are bitwise equal to a gather/scatter chain over
+    row-major pair lists.  The means read the distances back in that
+    order.  Each gradient row adds its pair terms one by one from +0.0:
+    NumPy sums a block axis in order only when the rest of the tile is at
+    least two wide (hence the zero column for one-column input).  A sum
+    that spans tiles or blocks takes its running total in as its first
+    term: a row sum across blocks in the first column, a column sum across
+    tiles in the first row, which is restored before the row sums read it.
     The cross row sums hold no -0.0, so adding them settles every zero's
     sign.  The parts add as within rows, within columns, cross rows, cross
     columns.
@@ -285,45 +312,71 @@ def segment_distance_ratio(a, starts, lam: float, eps: float) -> Node:
         return Node([[(0.0 + lam) / (0.0 + eps)]])
     if d == 1:
         v = np.hstack([v, np.zeros_like(v)])
-    # block k: rows [0, e) against the columns [s, e) of segment k; its rows
-    # before s are cross pairs, the rest the segment's own (m x m) square
-    blocks = []
+    w = v.shape[1]
+    segments = list(zip(bounds, bounds[1:]))
+    scratch_size = max(_TILE_ELEMS, max(e - s for s, e in segments) * w)
+
+    def tiles(scratch, s, e):
+        # block k: rows [0, e) against the columns [s, e) of segment k; its
+        # rows before s are cross pairs, the rest the segment's own square
+        m = e - s
+        rows = max(1, _TILE_ELEMS // (m * w))
+        for i0 in range(0, e, rows):
+            i1 = min(i0 + rows, e)
+            diff = scratch[:(i1 - i0) * m * w].reshape(i1 - i0, m, w)
+            np.subtract(v[i0:i1, None, :], v[None, s:e, :], out=diff)
+            yield i0, i1, diff
+
     dist = np.zeros((n, n))
-    for s, e in zip(bounds, bounds[1:]):
-        diff = v[:e, None, :] - v[None, s:e, :]
-        r = np.sqrt((diff * diff).sum(axis=2, keepdims=True))
-        dist[:e, s:e] = r[:, :, 0]
-        # x / inf is a zero, whose sign never reaches the gradient
-        blocks.append((s, e, diff, np.where(r > 0.0, r, np.inf)))
-    seg_of = np.repeat(np.arange(len(blocks)), np.diff(bounds))
+    scratch = np.empty(scratch_size)
+    for s, e in segments:
+        for i0, i1, diff in tiles(scratch, s, e):
+            np.multiply(diff, diff, out=diff)
+            r = dist[i0:i1, s:e]
+            diff.sum(axis=2, out=r)
+            np.sqrt(r, out=r)
+    seg_of = np.repeat(np.arange(len(segments)), np.diff(bounds))
     r_within = dist[np.triu(seg_of[:, None] == seg_of, k=1)]
     r_cross = dist[seg_of[:, None] < seg_of]
-    sim = r_within.mean() if r_within.size else 0.0
-    dissim = r_cross.mean() if r_cross.size else 0.0
+    n_within, n_cross = r_within.size, r_cross.size
+    sim = r_within.mean() if n_within else 0.0
+    dissim = r_cross.mean() if n_cross else 0.0
     num = sim + lam
     den = dissim + eps
+    # the push divides by these: x / inf is a zero, whose sign never
+    # reaches the gradient
+    dist[~(dist > 0.0)] = np.inf
 
     def push(g):
         g = g[0, 0]
         # per-pair weights; max(., 1) only guards an empty, unused pair set
-        c_within = g / den / max(r_within.size, 1)
-        c_cross = -g * num / (den * den) / max(r_cross.size, 1)
+        c_within = g / den / max(n_within, 1)
+        c_cross = -g * num / (den * den) / max(n_cross, 1)
         # pair (p, q) adds step(p, q) to row p and -step(p, q) to row q, and
         # step(q, p) == -step(p, q): every scatter is a column sum, negated
         # where the pairs run the other way
         within_i, within_j, cross_i, cross_j = (np.zeros_like(v) for _ in range(4))
-        for s, e, diff, r in blocks:
-            steps = diff / r
-            steps[:s] *= c_cross
-            steps[s:] *= c_within
-            cross_j[s:e] = -steps[:s].sum(axis=0)
-            # a row sum that spans blocks takes its running total in first
-            steps[:s, 0] += cross_i[:s]
-            cross_i[:s] = steps[:s].sum(axis=1)
+        scratch = np.empty(scratch_size)
+        for s, e in segments:
             k = np.arange(e - s)
-            upper = steps[s:] * (k[:, None] < k)[:, :, None]
-            within_i[s:e] = upper.sum(axis=1)
-            within_j[s:e] = -upper.sum(axis=0)
+            for i0, i1, steps in tiles(scratch, s, e):
+                np.divide(steps, dist[i0:i1, s:e, None], out=steps)
+                c = max(0, min(s, i1) - i0)  # the tile's cross rows
+                cross, within = steps[:c], steps[c:]
+                cross *= c_cross
+                within *= c_within
+                if c:
+                    _fold_column_sum(cross, cross_j[s:e], i0 > 0)
+                    # a row sum that spans blocks takes its running total in first
+                    cross[:, 0] += cross_i[i0:i0 + c]
+                    cross.sum(axis=1, out=cross_i[i0:i0 + c])
+                if c < i1 - i0:
+                    lo, hi = i0 + c - s, i1 - s
+                    np.multiply(within, (k[lo:hi, None] < k)[:, :, None], out=within)
+                    within.sum(axis=1, out=within_i[s + lo:s + hi])
+                    _fold_column_sum(within, within_j[s:e], lo > 0)
+            np.negative(cross_j[s:e], out=cross_j[s:e])
+            np.negative(within_j[s:e], out=within_j[s:e])
         grad = within_i + within_j
         grad += cross_i
         grad += cross_j
@@ -427,14 +480,6 @@ def weighted_bce_with_logits(logits, targets, pos_weight: float = 1.0) -> Node:
         return (g[0, 0] * (w * y * (sig - 1.0) + (1.0 - y) * sig) / size,)
 
     return Node([[per.mean()]], (z,), push)
-
-
-def linear(x, weight, bias=None) -> Node:
-    """Affine map ``x @ weight (+ bias)`` with the bias broadcast per row."""
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -82,30 +82,6 @@ class TestSoftmaxRows:
         assert np.allclose(la.softmax_rows(x).value, la.softmax_rows(shifted).value, atol=1e-12)
 
 
-class TestLinear:
-    def test_identity_weight_no_bias(self):
-        x = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(la.linear(x, np.eye(3)).value, x)
-
-    def test_zero_input_gives_bias_rows(self):
-        w = np.ones((3, 2))
-        b = np.array([[1.5, -2.0]])
-        out = la.linear(np.zeros((4, 3)), w, b)
-        assert np.array_equal(out.value, np.tile(b, (4, 1)))
-
-    def test_matches_matmul_plus_bias_oracle(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(4, 3))
-        w = rng.normal(size=(3, 5))
-        b = rng.normal(size=(1, 5))
-        expected = naive_matmul(x, w) + b
-        assert np.max(np.abs(la.linear(x, w, b).value - expected)) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            la.linear(np.zeros((2, 3)), np.zeros((4, 4)))
-
-
 class TestGradCheck:
     def test_quadratic(self):
         theta = la.Node(np.array([[1.0, 2.0]]))

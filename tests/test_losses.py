@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,45 @@ class TestFusedPairDistance:
             values = rng.normal(size=(n, 3))
             values[:, 1] = 0.25
             self._assert_same(values, starts)
+
+    @staticmethod
+    def _tile_rows(width, d):
+        """Rows in one tile of a block whose segment is ``width`` rows wide."""
+        return max(1, la._TILE_ELEMS // (width * max(d, 2)))
+
+    def test_instances_spanning_row_tiles(self):
+        rng = np.random.default_rng(25)
+        cases = (
+            (400, 32, [100, 200, 300]),      # the response width, tiles of 10 rows
+            (397, 32, [37, 150, 151, 290]),  # tile edges off the segment starts
+            (192, 32, [64, 128]),            # a tile edge on each start
+            (80, 520, [16]),                 # one row per tile in the wide segment
+            (400, 1, [10, 200]),             # the zero column, tiled
+            (300, 1, []),
+        )
+        for n, d, starts in cases:
+            bounds = [0, *starts, n]
+            widths = [e - s for s, e in zip(bounds, bounds[1:])]
+            assert any(self._tile_rows(m, d) < e for m, e in zip(widths, bounds[1:]))
+            values = rng.normal(size=(n, d))
+            values[n - 1] = values[n // 2]
+            self._assert_same(values, starts)
+        assert self._tile_rows(64, 32) == 16
+        assert self._tile_rows(64, 520) == 1
+
+    def test_memory_stays_off_pair_count(self):
+        # one step at n = 400 must not hold every block's (rows x segment x d)
+        # differences, 25.6 MB here; the distance matrix is 1.3 MB
+        values = np.random.default_rng(26).normal(size=(400, 32))
+        a = la.Node(values)
+        tracemalloc.start()
+        try:
+            la.backward(la.segment_distance_ratio(a, [100, 200, 300], 1.0, EPSILON_DIV))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.grad is not None
+        assert peak < 8 * 2**20
 
     def test_pair_indices_split(self):
         wi, wj, ci, cj = pair_indices(4, [2])

@@ -161,6 +161,11 @@ class TestForward:
         assert err < 1e-5
 
 
+def chain_affine(x, weight, bias):
+    """``x @ weight + bias`` as a matmul node then an add node."""
+    return la.add(la.matmul(x, weight), bias)
+
+
 def chain_unit(feats, unit):
     """The op chain the fused unit replaces, built from the public ops."""
     alphas = []
@@ -171,10 +176,10 @@ def chain_unit(feats, unit):
         alpha = la.softmax_rows(la.matmul(queries, la.transpose(keys)))
         alphas.append(alpha)
         head_outs.append(la.matmul(alpha, la.matmul(unit.miner.node, head.w_v)))
-    merged = la.linear(la.hconcat(head_outs[0], head_outs[1]), unit.merge_w, unit.merge_b)
+    merged = chain_affine(la.hconcat(head_outs[0], head_outs[1]), unit.merge_w, unit.merge_b)
     amplified = la.add(feats, merged)
-    hidden = la.relu(la.linear(amplified, unit.ffn_w1, unit.ffn_b1))
-    out = la.linear(hidden, unit.ffn_w2, unit.ffn_b2)
+    hidden = la.relu(chain_affine(amplified, unit.ffn_w1, unit.ffn_b1))
+    out = chain_affine(hidden, unit.ffn_w2, unit.ffn_b2)
     response = la.scale(la.add(alphas[0], alphas[1]), 0.5)
     return out, response
 

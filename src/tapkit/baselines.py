@@ -4,7 +4,9 @@ The k-means baseline clusters frame features and marks a boundary wherever
 consecutive frames land in different clusters (the same transition rule the
 parser uses on its representatives).  The TCN baseline trains a two-layer
 temporal convolution to score each frame's boundary probability with a
-weighted BCE, then thresholds and peak-picks at inference.
+weighted BCE, then thresholds and peak-picks at inference.  Both layers run
+on plain arrays: training wraps them in one graph node with a hand-written
+backward, and inference builds no graph.
 """
 
 from __future__ import annotations
@@ -112,6 +114,15 @@ class TCNTrainConfig:
             raise ConfigError("bad optimizer settings")
 
 
+def _bias_grad(g: np.ndarray) -> np.ndarray:
+    """A row bias's gradient: the column sums of ``g``.
+
+    A one-row ``g`` is returned as is, as ``la.add`` does for operands of
+    equal shape: a sum would start from +0.0 and turn a -0.0 into +0.0.
+    """
+    return g if g.shape[0] == 1 else g.sum(axis=0, keepdims=True)
+
+
 class TCNModel:
     """Two temporal convolution layers producing a per-frame boundary score.
 
@@ -140,37 +151,69 @@ class TCNModel:
     def parameters(self) -> list[la.Node]:
         return [*self.w1, self.b1, *self.w2, self.b2]
 
-    def _offsets(self) -> range:
-        half = self.kernel_size // 2
-        return range(-half, half + 1)
+    def _values(self, features) -> tuple[np.ndarray, tuple]:
+        """Both layers on plain arrays: ``(logits, saved)``, logits ``n x 1``.
 
-    def logits_graph(self, features: np.ndarray) -> la.Node:
+        Tap k reads frame ``t + offset_k``, clipped to the sequence (edge
+        replication).  The taps are summed in offset order, as the chain of
+        ``matmul``/``add``/``gather_rows``/``relu`` nodes that the tests
+        keep as an oracle summed them, so the values are bitwise equal to
+        it.  ``saved`` holds what :meth:`_grads` reads.
+        """
         arr = np.asarray(features, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != self.feature_dim:
             raise InputError(f"features must be (frames x {self.feature_dim}), "
                              f"got {arr.shape}")
-        if arr.shape[0] < 1:
-            raise InputError("empty feature sequence")
         n = arr.shape[0]
-        frame_index = np.arange(n)
-        # first layer reads constant inputs: shift with edge replication,
-        # one tap matrix per offset
-        hidden = None
-        for off, w in zip(self._offsets(), self.w1):
-            shifted = arr[np.clip(frame_index + off, 0, n - 1)]
-            term = la.matmul(shifted, w)
-            hidden = term if hidden is None else la.add(hidden, term)
-        hidden = la.relu(la.add(hidden, self.b1))
-        out = None
-        for off, w in zip(self._offsets(), self.w2):
-            shifted = la.gather_rows(hidden, np.clip(frame_index + off, 0, n - 1))
-            term = la.matmul(shifted, w)
-            out = term if out is None else la.add(out, term)
-        return la.add(out, self.b2)
+        if n < 1:
+            raise InputError("empty feature sequence")
+        half = self.kernel_size // 2
+        taps = np.clip(np.arange(n) + np.arange(-half, half + 1)[:, None], 0, n - 1)
+        pre = arr[taps[0]] @ self.w1[0].value
+        for idx, w in zip(taps[1:], self.w1[1:]):
+            pre += arr[idx] @ w.value
+        pre += self.b1.value
+        mask = pre > 0.0
+        hidden = np.where(mask, pre, 0.0)
+        gathered = [hidden[idx] for idx in taps]
+        out = gathered[0] @ self.w2[0].value
+        for g_in, w in zip(gathered[1:], self.w2[1:]):
+            out += g_in @ w.value
+        out += self.b2.value
+        return out, (arr, taps, mask, gathered)
+
+    def _grads(self, saved: tuple, g: np.ndarray) -> list[np.ndarray]:
+        """The chain's pushes replayed by hand: one gradient per parameter,
+        in :meth:`parameters` order.
+
+        The hidden gradient scatter-adds each tap with one ``np.bincount``
+        from +0.0, as ``gather_rows`` did, and sums the taps in offset
+        order, as ``backward`` summed them.
+        """
+        arr, taps, mask, gathered = saved
+        n, h = mask.shape
+        cols = np.arange(h)
+        g_hidden = None
+        for idx, w in zip(taps, self.w2):
+            flat = (idx[:, None] * h + cols).ravel()
+            part = np.bincount(flat, weights=(g @ w.value.T).ravel(),
+                               minlength=n * h).reshape(n, h)
+            if g_hidden is None:
+                g_hidden = part
+            else:
+                g_hidden += part
+        g_pre = g_hidden * mask
+        return [*(arr[idx].T @ g_pre for idx in taps), _bias_grad(g_pre),
+                *(g_in.T @ g for g_in in gathered), _bias_grad(g)]
+
+    def logits_graph(self, features) -> la.Node:
+        """Per-frame logits as one node whose parents are :meth:`parameters`."""
+        out, saved = self._values(features)
+        return la.Node(out, self.parameters(), lambda g: self._grads(saved, g))
 
     def predict(self, features) -> np.ndarray:
-        """Per-frame boundary probabilities in (0, 1)."""
-        scores = la.sigmoid(self.logits_graph(features)).value[:, 0]
+        """Per-frame boundary probabilities in (0, 1); builds no graph."""
+        scores = la._logistic(self._values(features)[0])[:, 0]
         if not np.isfinite(scores).all():
             raise NumericError("TCN produced non-finite scores")
         return scores
@@ -190,7 +233,8 @@ def tcn_train(dataset, cfg: TCNTrainConfig) -> TCNModel:
     """Fit the detector on ``(features, gt_starts)`` pairs with weighted BCE.
 
     Deterministic for a fixed seed.  Raises when the labeled training set
-    contains no positive frames at all.
+    contains no positive frames at all, or no negative frames while
+    ``pos_weight`` is left to their count ratio (which would be 0).
     """
     cfg.validate()
     if not dataset:
@@ -207,6 +251,8 @@ def tcn_train(dataset, cfg: TCNTrainConfig) -> TCNModel:
         prepared.append((arr, targets.reshape(-1, 1)))
     if total_pos == 0:
         raise ConfigError("training set labels contain no positive frames")
+    if total_neg == 0 and cfg.pos_weight is None:
+        raise ConfigError("training set labels contain no negative frames")
     pos_weight = cfg.pos_weight if cfg.pos_weight is not None else total_neg / total_pos
     model = TCNModel(feature_dim, cfg.kernel_size, cfg.hidden_channels, cfg.seed)
     params = model.parameters()

@@ -1,8 +1,9 @@
 """Dense float64 matrices with reverse-mode gradient support.
 
-Both losses and the TCN baseline are built from the operations in this
-module; an attention unit is one node with a hand-written backward
-(:mod:`tapkit.model`) on the same :class:`Node`.  Values are plain 2-D numpy
+Both losses are built from the operations in this module.  An attention
+unit (:mod:`tapkit.model`) and the TCN baseline (:mod:`tapkit.baselines`)
+are each one :class:`Node` with a hand-written backward; the TCN's
+probabilities go through :func:`_logistic`.  Values are plain 2-D numpy
 arrays wrapped in graph :class:`Node` objects; each operation records how to
 push an upstream gradient back to its operands, and :func:`backward` replays
 those rules from a scalar output.  Analytic gradients are verified against

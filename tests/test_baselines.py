@@ -90,6 +90,99 @@ class TestWeightedBce:
         assert abs(loss.item() - oracle) < 1e-12
 
 
+def chain_logits_graph(model, features):
+    """The TCN as the chain of public ops it was built from: the oracle the
+    fused node must equal bit for bit."""
+    arr = np.asarray(features, dtype=np.float64)
+    n = arr.shape[0]
+    frame_index = np.arange(n)
+    half = model.kernel_size // 2
+    offsets = range(-half, half + 1)
+    hidden = None
+    for off, w in zip(offsets, model.w1):
+        term = la.matmul(arr[np.clip(frame_index + off, 0, n - 1)], w)
+        hidden = term if hidden is None else la.add(hidden, term)
+    hidden = la.relu(la.add(hidden, model.b1))
+    out = None
+    for off, w in zip(offsets, model.w2):
+        shifted = la.gather_rows(hidden, np.clip(frame_index + off, 0, n - 1))
+        term = la.matmul(shifted, w)
+        out = term if out is None else la.add(out, term)
+    return la.add(out, model.b2)
+
+
+def loss_and_grads(model, logits_fn, features, targets, pos_weight):
+    logits = logits_fn(model, features)
+    la.backward(la.weighted_bce_with_logits(logits, targets, pos_weight))
+    return logits.value.tobytes(), [p.grad.tobytes() for p in model.parameters()]
+
+
+class TestTcnChainOracle:
+    @pytest.mark.parametrize("kernel", [1, 3, 9])
+    @pytest.mark.parametrize("hidden", [1, 4, 32])
+    @pytest.mark.parametrize("dim", [1, 3, 64])
+    def test_logits_and_gradients_are_bytes_equal(self, kernel, hidden, dim):
+        rng = np.random.default_rng(kernel * 10_000 + hidden * 100 + dim)
+        model = TCNModel(dim, kernel, hidden, seed=kernel + hidden + dim)
+        # nonzero biases, so the relu mask and the bias sums are exercised
+        model.b1.value[:] = rng.normal(size=model.b1.value.shape) * 0.3
+        model.b2.value[:] = rng.normal()
+        for n in sorted({1, 2, max(kernel - 1, 1), 40}):
+            features = rng.normal(size=(n, dim))
+            targets = (rng.uniform(size=(n, 1)) > 0.6).astype(float)
+            for pos_weight in (0.5, 2.5):
+                logits, grads = loss_and_grads(model, TCNModel.logits_graph,
+                                               features, targets, pos_weight)
+                ref_logits, ref_grads = loss_and_grads(model, chain_logits_graph,
+                                                       features, targets, pos_weight)
+                assert logits == ref_logits, (n, pos_weight)
+                assert len(grads) == 2 * kernel + 2
+                for i, (got, want) in enumerate(zip(grads, ref_grads)):
+                    assert got == want, (n, pos_weight, i)
+
+    def test_training_weights_are_bytes_equal(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        dataset = []
+        for length in (3, 5, 8, 20, 37):  # some shorter than the kernel
+            features = rng.normal(size=(length, 5))
+            dataset.append((features, (length // 2,)))
+        cfg = TCNTrainConfig(kernel_size=9, hidden_channels=6, epochs=4, seed=4)
+        fused = tcn_train(dataset, cfg)
+        monkeypatch.setattr(TCNModel, "logits_graph", chain_logits_graph)
+        chained = tcn_train(dataset, cfg)
+        for a, b in zip(fused.parameters(), chained.parameters(), strict=True):
+            assert a.value.tobytes() == b.value.tobytes()
+
+    def test_predict_equals_sigmoid_of_chain(self):
+        rng = np.random.default_rng(12)
+        model = TCNModel(feature_dim=4, kernel_size=9, hidden_channels=8, seed=2)
+        model.b1.value[:] = rng.normal(size=model.b1.value.shape) * 0.3
+        for n in (1, 4, 40):
+            features = rng.normal(size=(n, 4)) * 3
+            want = la.sigmoid(chain_logits_graph(model, features)).value[:, 0]
+            assert model.predict(features).tobytes() == want.tobytes()
+
+    def test_one_node_per_logits_call_and_none_per_predict(self, monkeypatch):
+        model = TCNModel(feature_dim=3, kernel_size=3, hidden_channels=4, seed=0)
+        features = np.random.default_rng(13).normal(size=(7, 3))
+        made = []
+
+        class CountingNode(la.Node):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(la, "Node", CountingNode)
+        node = model.logits_graph(features)
+        assert made == [node]
+        params = model.parameters()
+        assert len(node.parents) == len(params)
+        assert all(a is b for a, b in zip(node.parents, params))
+        made.clear()
+        model.predict(features)
+        assert made == []
+
+
 class TestTcn:
     def make_spike_dataset(self, count=6, length=40, seed=0):
         # one feature channel jumps at the boundary: linearly separable
@@ -137,6 +230,16 @@ class TestTcn:
         features = np.zeros((10, 2))
         with pytest.raises(ConfigError, match="no positive frames"):
             tcn_train([(features, ())], TCNTrainConfig(epochs=1))
+
+    def test_no_negative_frames_with_automatic_weight_is_a_config_error(self):
+        # every frame lies within neighbor_radius of the start at frame 1
+        with pytest.raises(ConfigError, match="no negative frames"):
+            tcn_train([(np.zeros((3, 2)), (1,))], TCNTrainConfig(epochs=1))
+
+    def test_no_negative_frames_trains_with_an_explicit_weight(self):
+        model = tcn_train([(np.ones((3, 2)), (1,))],
+                          TCNTrainConfig(epochs=2, pos_weight=1.5))
+        assert np.all(model.predict(np.ones((3, 2))) > 0.5)
 
     def test_deterministic_training(self):
         dataset = self.make_spike_dataset(count=3, seed=2)

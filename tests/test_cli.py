@@ -314,6 +314,13 @@ class TestUsageErrors:
         assert run([*args, "--data", tiny_data, "--epochs", "1", *out]) == 4
         assert "must be finite" in capsys.readouterr().err
 
+    def test_tcn_without_negative_frames_exits_4(self, tiny_data, tmp_path, capsys):
+        # a radius wider than every instance labels each training frame positive
+        assert run(["baseline", "tcn", "--data", tiny_data, "--out", tmp_path / "p.jsonl",
+                    "--neighbor-radius", "100", "--epochs", "1"]) == 4
+        assert ("error: training set labels contain no negative frames"
+                in capsys.readouterr().err)
+
     def test_instance_id_with_nul_exits_4(self, tiny_data, tmp_path, capsys):
         ann = tiny_data / "annotations.jsonl"
         lines = ann.read_text().splitlines()

@@ -142,13 +142,9 @@ def cmd_eval(args) -> int:
     by_id = {r.instance_id: r for r in records}
     dataset = [(starts, by_id[instance_id].boundaries, by_id[instance_id].length)
                for instance_id, starts in preds.items()]
-    rel = tuple(float(x) for x in args.rel_thresholds.split(",")) \
-        if args.rel_thresholds else REL_THRESHOLDS
-    abs_ = tuple(float(x) for x in args.abs_thresholds.split(",")) \
-        if args.abs_thresholds else ABS_THRESHOLDS
     report = sweep(dataset, mode=args.mode,
                    averaging="macro" if args.macro else "micro",
-                   rel_thresholds=rel, abs_thresholds=abs_)
+                   rel_thresholds=args.rel_thresholds, abs_thresholds=args.abs_thresholds)
     for row in report.rows:
         d_text = f"{row.d:.2f}" if row.kind == "rel" else f"{row.d:g}"
         print(f"[{row.kind} d={d_text}] recall={row.recall:.4f} "
@@ -271,6 +267,14 @@ def cmd_patterns(args) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
+def _threshold_list(text):
+    """argparse type: a comma list of numbers; a bad entry is a usage error."""
+    try:
+        return tuple(float(entry) for entry in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+
 def _add_data_arg(p):
     p.add_argument("--data", default=None,
                    help="dataset directory (default: $TAPKIT_DATA_DIR)")
@@ -341,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--macro", action="store_true",
                    help="macro-average per-instance scores instead of pooling counts")
     p.add_argument("--out", default=None, help="CSV report path")
-    p.add_argument("--rel-thresholds", default=None,
+    p.add_argument("--rel-thresholds", type=_threshold_list, default=REL_THRESHOLDS,
                    help="comma list overriding the relative grid")
-    p.add_argument("--abs-thresholds", default=None,
+    p.add_argument("--abs-thresholds", type=_threshold_list, default=ABS_THRESHOLDS,
                    help="comma list overriding the absolute grid")
     p.set_defaults(func=cmd_eval)
 

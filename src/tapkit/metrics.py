@@ -38,7 +38,7 @@ def match_boundaries(pred: Sequence[float], gt: Sequence[float], d_frames: float
     Distances must be strictly smaller than ``d_frames`` to match, so a
     boundary exactly at the tolerance does not count.
     """
-    if d_frames < 0:
+    if not d_frames >= 0:  # also rejects NaN, which no distance compares to
         raise InputError(f"d_frames must be >= 0, got {d_frames}")
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}, expected one of {MODES}")

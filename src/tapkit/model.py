@@ -6,6 +6,11 @@ are merged by one fc layer, added back onto the frame feature, and pushed
 through a small feed-forward net.  Stacking units refines the features; the
 last unit's attention response is what downstream parsing and the local
 loss consume.
+
+:func:`forward_graph` is the training pass: every unit in full plus the
+action classifier, one graph node per unit.  :func:`forward` is inference:
+it stops at the last unit's response, so that unit's merge fc and FFN and
+the classifier never run, and it checks only what it computes.
 """
 
 from __future__ import annotations
@@ -304,21 +309,32 @@ class GraphTrace:
 
 @dataclass
 class ForwardTrace:
-    """Inference-side view of the forward pass, plain arrays only."""
+    """Inference-side view of the forward pass: one response per unit."""
 
     instance_id: str
     responses: list[np.ndarray]
-    features: list[np.ndarray]
-    logits: np.ndarray
 
     @property
     def response(self) -> np.ndarray:
         """Last unit's per-frame attention response, the parsing signal."""
         return self.responses[-1]
 
-    @property
-    def final_features(self) -> np.ndarray:
-        return self.features[-1]
+
+def _unit_attention(x: np.ndarray, unit: SPSUnit) -> tuple[list[tuple], np.ndarray]:
+    """One unit's attention half: each head's ``(q, k_t, a)``, and the
+    response, the mean of the heads' rows, so every row is a probability
+    vector."""
+    bank = unit.miner.patterns
+    heads = []
+    for head in unit.heads:
+        q = x @ head.w_q.value
+        # contiguous, as a graph node stores it: a transposed view
+        # multiplies to different bits
+        k_t = np.ascontiguousarray((bank @ head.w_k.value).T)
+        scores = q @ k_t
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        heads.append((q, k_t, e / e.sum(axis=1, keepdims=True)))
+    return heads, (heads[0][2] + heads[1][2]) * 0.5
 
 
 def _unit_values(x: np.ndarray, unit: SPSUnit) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -332,15 +348,9 @@ def _unit_values(x: np.ndarray, unit: SPSUnit) -> tuple[np.ndarray, np.ndarray, 
     it.
     """
     bank = unit.miner.patterns
+    attention, response = _unit_attention(x, unit)
     heads = []
-    for head in unit.heads:
-        q = x @ head.w_q.value
-        # contiguous, as a graph node stores it: a transposed view
-        # multiplies to different bits
-        k_t = np.ascontiguousarray((bank @ head.w_k.value).T)
-        scores = q @ k_t
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        a = e / e.sum(axis=1, keepdims=True)
+    for head, (q, k_t, a) in zip(unit.heads, attention):
         v = bank @ head.w_v.value
         heads.append((q, k_t, a, v, a @ v))
     cat = np.concatenate([o for *_, o in heads], axis=1)
@@ -349,9 +359,6 @@ def _unit_values(x: np.ndarray, unit: SPSUnit) -> tuple[np.ndarray, np.ndarray, 
     mask = pre > 0.0
     hidden = np.where(mask, pre, 0.0)
     out = hidden @ unit.ffn_w2.value + unit.ffn_b2.value
-    # single reported response per frame: mean of the two heads' rows,
-    # which keeps every row a probability vector
-    response = (heads[0][2] + heads[1][2]) * 0.5
     return out, response, (x, heads, cat, amplified, mask, hidden)
 
 
@@ -454,24 +461,26 @@ def forward_graph(features, model: TransParserModel) -> GraphTrace:
 
 
 def forward(features, model: TransParserModel, instance_id: str = "") -> ForwardTrace:
-    """Inference forward pass; validates that every output stays finite.
+    """Inference forward pass up to the last unit's attention response.
 
-    Runs the same unit arithmetic as :func:`forward_graph` on plain arrays
-    and builds no graph, so its values equal the graph's bit for bit.
+    The last unit runs only its attention half: its merge fc, its FFN and
+    the classifier serve only the training losses.  The arithmetic is
+    :func:`forward_graph`'s on plain arrays with no graph, so the responses
+    equal the graph's bit for bit.  Only what is computed is checked: every
+    response and every earlier unit's output must be finite.
     """
     x = _check_features(features, model.config.feature_dim)
     responses: list[np.ndarray] = []
     outs: list[np.ndarray] = []
-    for unit in model.units:
+    for unit in model.units[:-1]:
         x, response, _ = _unit_values(x, unit)
         responses.append(response)
         outs.append(x)
-    logits = (x @ model.classifier_w.value).mean(axis=0, keepdims=True)
-    for arr in (*responses, *outs, logits):
+    responses.append(_unit_attention(x, model.units[-1])[1])
+    for arr in (*responses, *outs):
         if not np.isfinite(arr).all():
             raise NumericError("forward pass produced non-finite values")
-    return ForwardTrace(instance_id=instance_id, responses=responses, features=outs,
-                        logits=logits)
+    return ForwardTrace(instance_id=instance_id, responses=responses)
 
 
 def retrieve_top_frames(traces: Iterable[ForwardTrace], pattern_index: int,

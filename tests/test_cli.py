@@ -117,6 +117,37 @@ class TestEval:
         assert f"annotations.jsonl:1: {field}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag,value,entry", [
+        ("--abs-thresholds", "5,x", "'x'"), ("--rel-thresholds", "", "''"),
+        ("--rel-thresholds", "0.1,,0.2", "''"),
+    ], ids=["non-number", "empty-list", "empty-entry"])
+    def test_unparsable_threshold_list_exits_2(self, tiny_data, tmp_path, capsys,
+                                               flag, value, entry):
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text("")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", "--pred", str(pred), "--gt", str(tiny_data), flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {value!r}:" in err
+        assert f"float: {entry}" in err
+
+    def test_nan_threshold_exits_4(self, tmp_path, capsys):
+        data_dir = tmp_path / "gt"
+        (data_dir / "features").mkdir(parents=True)
+        with open(data_dir / "annotations.jsonl", "w") as fh:
+            fh.write(json.dumps({"id": "w", "video_id": "w", "label": "a",
+                                 "length": 200, "boundaries": [100],
+                                 "split": "test"}) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps({"id": "w", "starts": [10]}) + "\n")
+        assert run(["eval", "--pred", pred, "--gt", data_dir,
+                    "--rel-thresholds", "nan"]) == 4
+        captured = capsys.readouterr()
+        assert "f1=" not in captured.out
+        assert "d_frames must be >= 0, got nan" in captured.err
+
+
 class TestPipeline:
     def test_full_pipeline_and_determinism(self, tmp_path, capsys):
         """synth -> train -> parse -> eval twice; artifacts and stdout byte-equal."""
@@ -217,6 +248,28 @@ class TestPipeline:
         assert run(["parse", "--data", tiny_data, "--model", model,
                     "--out", tmp_path / "pred.jsonl"]) == 4
         assert "unit0.ffn.w1: non-finite" in capsys.readouterr().err
+
+    def test_overflow_after_the_last_response_does_not_stop_parse(self, tiny_data,
+                                                                   tmp_path, capsys):
+        # the last unit's FFN overflows to inf, but parse reads only that
+        # unit's attention response, which stays finite
+        from tapkit.model import TransParserModel
+        path = tmp_path / "model.tpsr"
+        assert run(["train", "--data", tiny_data, "--model-out", path,
+                    "--patterns", "6", "--pattern-dim", "8", "--attn-dim", "4",
+                    "--value-dim", "4", "--hidden-dim", "12", "--epochs", "1"]) == 0
+        assert run(["parse", "--data", tiny_data, "--model", path,
+                    "--out", tmp_path / "plain.jsonl"]) == 0
+        model = TransParserModel.load(path)
+        model.units[-1].ffn_w2.value[:] = 1e300
+        model.units[-1].ffn_b1.value[:] = 1e10
+        model.save(path)
+        capsys.readouterr()
+        assert run(["parse", "--data", tiny_data, "--model", path,
+                    "--out", tmp_path / "overflow.jsonl"]) == 0
+        assert capsys.readouterr().err == ""
+        assert ((tmp_path / "overflow.jsonl").read_bytes()
+                == (tmp_path / "plain.jsonl").read_bytes())
 
 
     def test_checkpoint_dimension_beyond_the_file_exits_4(self, tiny_data, tmp_path,

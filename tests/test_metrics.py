@@ -66,6 +66,16 @@ class TestMatchBoundaries:
         with pytest.raises(InputError):
             match_boundaries([1], [1], -1.0)
 
+    @pytest.mark.parametrize("mode", ["one-to-one", "independent"])
+    def test_nan_tolerance_rejected(self, mode):
+        # no distance compares to NaN, so it must not reach the matching loop
+        with pytest.raises(InputError, match="nan"):
+            match_boundaries([10], [100], float("nan"), mode=mode)
+
+    @pytest.mark.parametrize("mode", ["one-to-one", "independent"])
+    def test_infinite_tolerance_matches_everything(self, mode):
+        assert match_boundaries([10], [100], float("inf"), mode=mode) == 1
+
     def test_randomized_against_oracles(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
@@ -201,6 +211,12 @@ class TestSweep:
     def test_empty_dataset_rejected(self):
         with pytest.raises(InputError):
             sweep([])
+
+    @pytest.mark.parametrize("averaging", ["micro", "macro"])
+    @pytest.mark.parametrize("grid", ["rel_thresholds", "abs_thresholds"])
+    def test_nan_threshold_rejected(self, grid, averaging):
+        with pytest.raises(InputError):
+            sweep([([10], [100], 200)], averaging=averaging, **{grid: (0.1, float("nan"))})
 
     def test_csv_layout(self, tmp_path):
         report = sweep([([10, 40], [12, 70], 100)])

@@ -9,7 +9,7 @@ import tapkit.linalg as la
 from tapkit.errors import (ConfigError, DimensionError, FormatError, InputError,
                            NumericError)
 from tapkit.model import (ForwardTrace, GraphTrace, ModelConfig, PatternMiner, TransParserModel,
-                          _unit_nodes, _weight_count, forward, forward_graph,
+                          _unit_nodes, _unit_values, _weight_count, forward, forward_graph,
                           retrieve_top_frames)
 
 SMALL = ModelConfig(feature_dim=6, pattern_dim=5, num_patterns=3, attn_dim=4,
@@ -44,8 +44,14 @@ def unit_oracle(feats, unit):
     return out, resp
 
 
+def final_features(feats, model):
+    """Last unit's output, which only the training pass computes."""
+    return forward_graph(feats, model).features[-1].value
+
+
 class TestSpsForward:
-    """One attention unit, run through ``forward`` on a one-unit model."""
+    """One attention unit, run through ``forward`` (its response) and
+    ``forward_graph`` (its output) on a one-unit model."""
 
     def test_zero_queries_give_uniform_response(self):
         model = TransParserModel.initialize(ONE_UNIT, seed=0)
@@ -62,7 +68,7 @@ class TestSpsForward:
         unit.merge_w.value[:] = 0.0
         unit.merge_b.value[:] = 0.0
         feats = np.random.default_rng(1).normal(size=(5, 6))
-        out = forward(feats, model).final_features
+        out = final_features(feats, model)
         hidden = np.maximum(feats @ unit.ffn_w1.value + unit.ffn_b1.value, 0.0)
         expected = hidden @ unit.ffn_w2.value + unit.ffn_b2.value
         assert np.array_equal(out, expected)
@@ -72,7 +78,7 @@ class TestSpsForward:
         feats = np.random.default_rng(2).normal(size=(4, 6))
         trace = forward(feats, model)
         out_o, resp_o = unit_oracle(feats, model.units[0])
-        assert np.max(np.abs(trace.final_features - out_o)) < 1e-10
+        assert np.max(np.abs(final_features(feats, model) - out_o)) < 1e-10
         assert np.max(np.abs(trace.response - resp_o)) < 1e-10
 
     def test_dimension_error(self):
@@ -89,8 +95,8 @@ class TestForward:
         single = forward(feats, model)
         double = forward(doubled, model)
         assert np.array_equal(double.response, np.repeat(single.response, 2, axis=0))
-        assert np.array_equal(double.final_features,
-                              np.repeat(single.final_features, 2, axis=0))
+        assert np.array_equal(final_features(doubled, model),
+                              np.repeat(final_features(feats, model), 2, axis=0))
 
     def test_two_units_match_composed_oracle(self):
         model = TransParserModel.initialize(SMALL, seed=5)
@@ -98,7 +104,7 @@ class TestForward:
         trace = forward(feats, model)
         mid, _ = unit_oracle(feats, model.units[0])
         out, resp = unit_oracle(mid, model.units[1])
-        assert np.max(np.abs(trace.final_features - out)) < 1e-10
+        assert np.max(np.abs(final_features(feats, model) - out)) < 1e-10
         assert np.max(np.abs(trace.response - resp)) < 1e-10
 
     def test_empty_sequence_rejected(self):
@@ -130,7 +136,8 @@ class TestForward:
         straight = forward(feats, model)
         permuted = forward(feats[perm], model)
         assert np.array_equal(permuted.response, straight.response[perm])
-        assert np.array_equal(permuted.final_features, straight.final_features[perm])
+        assert np.array_equal(final_features(feats[perm], model),
+                              final_features(feats, model)[perm])
 
     def test_key_scaling_preserves_argmax(self):
         model = TransParserModel.initialize(SMALL, seed=8)
@@ -280,16 +287,56 @@ class TestFusedUnit:
 
     def test_forward_equals_forward_graph(self):
         rng = np.random.default_rng(34)
-        for case in range(8):
-            model_cfg = random_config(rng, num_units=int(rng.integers(1, 4)))
+        for case in range(24):
+            model_cfg = random_config(rng, num_units=case % 3 + 1)
             model = TransParserModel.initialize(model_cfg, seed=case)
-            feats = rng.normal(size=(int(rng.integers(1, 30)), model_cfg.feature_dim))
+            n = (1, 2, int(rng.integers(30, 60)))[case // 3 % 3]
+            feats = rng.normal(size=(n, model_cfg.feature_dim))
             graph = forward_graph(feats, model)
             trace = forward(feats, model)
-            assert trace.logits.tobytes() == graph.logits.value.tobytes()
-            for got, node in zip(trace.responses + trace.features,
-                                 graph.responses + graph.features):
-                assert got.tobytes() == node.value.tobytes()
+            assert len(trace.responses) == len(graph.responses) == model_cfg.num_units
+            for got, node in zip(trace.responses, graph.responses):
+                assert got.tobytes() == node.value.tobytes(), case
+            # unit outputs and logits, which only training reads, equal the
+            # graph's on plain arrays too
+            x = feats
+            for unit, node in zip(model.units, graph.features):
+                x = _unit_values(x, unit)[0]
+                assert x.tobytes() == node.value.tobytes(), case
+            logits = (x @ model.classifier_w.value).mean(axis=0, keepdims=True)
+            assert logits.tobytes() == graph.logits.value.tobytes(), case
+
+    @pytest.mark.parametrize("name", ["merge.w", "merge.b", "ffn.w1", "ffn.b1",
+                                      "ffn.w2", "ffn.b2", "classifier.w"])
+    def test_forward_skips_last_merge_ffn_and_classifier(self, name):
+        model = TransParserModel.initialize(SMALL, seed=36)
+        feats = np.random.default_rng(36).normal(size=(9, 6))
+        before = forward(feats, model)
+        prefix = "" if name == "classifier.w" else f"unit{SMALL.num_units - 1}."
+        dict(model.named_parameters())[prefix + name].value[:] = np.nan
+        after = forward(feats, model)
+        assert [r.tobytes() for r in after.responses] == [
+            r.tobytes() for r in before.responses]
+
+    def test_forward_builds_no_node(self, monkeypatch):
+        model = TransParserModel.initialize(SMALL, seed=38)
+        made = []
+
+        class CountingNode(la.Node):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(la, "Node", CountingNode)
+        forward(np.random.default_rng(38).normal(size=(5, 6)), model)
+        assert made == []
+
+    @pytest.mark.parametrize("name", ["ffn.w2", "ffn.b2"])
+    def test_nan_in_first_unit_ffn_still_raises(self, name):
+        model = TransParserModel.initialize(SMALL, seed=37)
+        dict(model.named_parameters())[f"unit0.{name}"].value[:] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            forward(np.random.default_rng(37).normal(size=(4, 6)), model)
 
     def test_input_of_first_unit_is_a_constant(self):
         model = TransParserModel.initialize(SMALL, seed=35)
@@ -325,8 +372,7 @@ class TestFusedUnit:
 class TestRetrieveTopFrames:
     def _trace(self, iid, resp):
         resp = np.asarray(resp, dtype=float)
-        return ForwardTrace(instance_id=iid, responses=[resp], features=[resp],
-                            logits=np.zeros((1, 2)))
+        return ForwardTrace(instance_id=iid, responses=[resp])
 
     def test_single_trace_top1(self):
         tr = self._trace("a", [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])

@@ -174,7 +174,7 @@ class TCNModel:
             pre += arr[idx] @ w.value
         pre += self.b1.value
         mask = pre > 0.0
-        hidden = np.where(mask, pre, 0.0)
+        hidden = np.maximum(pre, 0.0)  # NaN stays NaN; -0.0 becomes +0.0
         gathered = [hidden[idx] for idx in taps]
         out = gathered[0] @ self.w2[0].value
         for g_in, w in zip(gathered[1:], self.w2[1:]):

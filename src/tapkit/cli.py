@@ -146,8 +146,7 @@ def cmd_eval(args) -> int:
                    averaging="macro" if args.macro else "micro",
                    rel_thresholds=args.rel_thresholds, abs_thresholds=args.abs_thresholds)
     for row in report.rows:
-        d_text = f"{row.d:.2f}" if row.kind == "rel" else f"{row.d:g}"
-        print(f"[{row.kind} d={d_text}] recall={row.recall:.4f} "
+        print(f"[{row.kind} d={row.d_text}] recall={row.recall:.4f} "
               f"precision={row.precision:.4f} f1={row.f1:.4f}")
     for line in report.summary_lines():
         print(line)

@@ -357,7 +357,7 @@ def _unit_values(x: np.ndarray, unit: SPSUnit) -> tuple[np.ndarray, np.ndarray, 
     amplified = x + (cat @ unit.merge_w.value + unit.merge_b.value)
     pre = amplified @ unit.ffn_w1.value + unit.ffn_b1.value
     mask = pre > 0.0
-    hidden = np.where(mask, pre, 0.0)
+    hidden = np.maximum(pre, 0.0)  # NaN stays NaN; -0.0 becomes +0.0
     out = hidden @ unit.ffn_w2.value + unit.ffn_b2.value
     return out, response, (x, heads, cat, amplified, mask, hidden)
 

@@ -4,7 +4,7 @@ import pytest
 import tapkit.linalg as la
 from tapkit.baselines import (TCNModel, TCNTrainConfig, boundary_targets, kmeans,
                               kmeans_parse, tcn_parse, tcn_train)
-from tapkit.errors import ConfigError, InputError
+from tapkit.errors import ConfigError, InputError, NumericError
 from tapkit.parsing import starts_from_labels
 
 
@@ -181,6 +181,13 @@ class TestTcnChainOracle:
         made.clear()
         model.predict(features)
         assert made == []
+
+    def test_nan_in_a_first_layer_tap_raises(self):
+        # one NaN weight makes a hidden channel NaN; the relu passes it on
+        model = TCNModel(feature_dim=4, kernel_size=3, hidden_channels=5, seed=0)
+        model.w1[1].value[2, 3] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            model.predict(np.random.default_rng(14).normal(size=(6, 4)))
 
 
 class TestTcn:

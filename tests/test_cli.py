@@ -132,6 +132,23 @@ class TestEval:
         assert f"argument {flag}: {value!r}:" in err
         assert f"float: {entry}" in err
 
+    def test_close_tolerances_get_distinct_labels(self, tmp_path, capsys):
+        data_dir = tmp_path / "gt"
+        (data_dir / "features").mkdir(parents=True)
+        with open(data_dir / "annotations.jsonl", "w") as fh:
+            fh.write(json.dumps({"id": "w", "video_id": "w", "label": "a",
+                                 "length": 100, "boundaries": [10, 20, 30],
+                                 "split": "test"}) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps({"id": "w", "starts": [11, 50]}) + "\n")
+        csv_path = tmp_path / "report.csv"
+        assert run(["eval", "--pred", pred, "--gt", data_dir, "--out", csv_path,
+                    "--rel-thresholds", "0.125,0.12", "--abs-thresholds", "5,5.0000001"]) == 0
+        labels = [line.split("]")[0] + "]" for line in capsys.readouterr().out.splitlines()[:4]]
+        assert labels == ["[rel d=0.125]", "[rel d=0.12]", "[abs d=5]", "[abs d=5.0000001]"]
+        rows = [line.split(",")[:2] for line in csv_path.read_text().splitlines()[1:5]]
+        assert rows == [["rel", "0.125"], ["rel", "0.12"], ["abs", "5"], ["abs", "5.0000001"]]
+
     def test_nan_threshold_exits_4(self, tmp_path, capsys):
         data_dir = tmp_path / "gt"
         (data_dir / "features").mkdir(parents=True)

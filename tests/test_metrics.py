@@ -1,11 +1,14 @@
 import csv
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tapkit.errors import InputError
-from tapkit.metrics import (ABS_THRESHOLDS, REL_THRESHOLDS, MetricReport,
-                            match_boundaries, recall_prec_f1, sweep)
+from tapkit.metrics import (ABS_THRESHOLDS, MODES, REL_THRESHOLDS, MetricReport,
+                            ThresholdScore, match_boundaries, recall_prec_f1, sweep)
 
 
 def exhaustive_one_to_one(pred, gt, d):
@@ -228,3 +231,141 @@ class TestSweep:
         assert len(rows) == 1 + 20 + 2
         assert rows[-2][0] == "rel" and rows[-2][1] == "avg"
         assert rows[-1][0] == "abs" and rows[-1][1] == "avg"
+
+
+def per_tolerance_match(pred, gt, d_frames, mode):
+    """The greedy matching re-run at one tolerance, stopping at the first
+    pair at or past it: the oracle for reading every tolerance off one run."""
+    pred = sorted(float(p) for p in pred)
+    gt = sorted(float(g) for g in gt)
+    if not pred or not gt:
+        return 0
+    if mode == "independent":
+        arr = np.asarray(gt)
+        return int(sum(np.min(np.abs(arr - p)) < d_frames for p in pred))
+    pairs = [(abs(p - g), ip, ig)
+             for ip, p in enumerate(pred) for ig, g in enumerate(gt)]
+    pairs.sort()
+    used_pred = set()
+    used_gt = set()
+    matched = 0
+    for dist, ip, ig in pairs:
+        if dist >= d_frames:
+            break
+        if ip in used_pred or ig in used_gt:
+            continue
+        used_pred.add(ip)
+        used_gt.add(ig)
+        matched += 1
+    return matched
+
+
+def per_tolerance_prf(matched, num_pred, num_gt):
+    if num_pred == 0:
+        precision = 1.0 if num_gt == 0 else 0.0
+    else:
+        precision = matched / num_pred
+    if num_gt == 0:
+        recall = 1.0 if num_pred == 0 else 0.0
+    else:
+        recall = matched / num_gt
+    if recall + precision == 0.0:
+        f1 = 0.0
+    else:
+        f1 = 2.0 * recall * precision / (recall + precision)
+    return recall, precision, f1
+
+
+def per_tolerance_sweep(dataset, mode, averaging, rel, abs_):
+    """The sweep that matches every instance once per tolerance."""
+    rows = []
+    for kind, thresholds in (("rel", rel), ("abs", abs_)):
+        for d in thresholds:
+            if averaging == "micro":
+                matched = pred_total = gt_total = 0
+                for pred, gt, length in dataset:
+                    frames = d * length if kind == "rel" else d
+                    matched += per_tolerance_match(pred, gt, frames, mode)
+                    pred_total += len(pred)
+                    gt_total += len(gt)
+                recall, precision, f1 = per_tolerance_prf(matched, pred_total, gt_total)
+            else:
+                scores = []
+                for pred, gt, length in dataset:
+                    frames = d * length if kind == "rel" else d
+                    scores.append(per_tolerance_prf(
+                        per_tolerance_match(pred, gt, frames, mode), len(pred), len(gt)))
+                recall = sum(s[0] for s in scores) / len(scores)
+                precision = sum(s[1] for s in scores) / len(scores)
+                f1 = sum(s[2] for s in scores) / len(scores)
+            rows.append(ThresholdScore(kind=kind, d=float(d), recall=recall,
+                                       precision=precision, f1=f1))
+    return rows
+
+
+ORACLE = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# a narrow range with repeats makes equal distances and tied pairs common
+POSITIONS = st.lists(st.integers(0, 40).map(lambda v: v / 2), max_size=7)
+INSTANCES = st.lists(st.tuples(POSITIONS, POSITIONS, st.integers(1, 120)),
+                     min_size=1, max_size=5)
+REL_GRID = st.lists(st.one_of(st.sampled_from([0.0, 0.01, 0.125, 0.3, 1.0, math.inf]),
+                              st.floats(0.0, 1.5)), max_size=6)
+ABS_TOLERANCES = st.one_of(st.sampled_from([0.0, 0.5, 5.0, 7.5, math.inf]),
+                           st.integers(0, 40).map(lambda v: v / 2), st.floats(0.0, 25.0))
+ABS_GRID = st.lists(ABS_TOLERANCES, max_size=6)
+
+
+class TestOneMatchingPerInstance:
+    """Every tolerance read off one matching equals a matching per tolerance."""
+
+    @ORACLE
+    @given(pred=POSITIONS, gt=POSITIONS, d=ABS_TOLERANCES, mode=st.sampled_from(MODES))
+    def test_match_boundaries_equals_per_tolerance_greedy(self, pred, gt, d, mode):
+        assert match_boundaries(pred, gt, d, mode) == per_tolerance_match(pred, gt, d, mode)
+
+    @ORACLE
+    @given(dataset=INSTANCES, rel=REL_GRID, abs_=ABS_GRID, mode=st.sampled_from(MODES),
+           averaging=st.sampled_from(["micro", "macro"]))
+    def test_sweep_equals_per_tolerance_sweep(self, dataset, rel, abs_, mode, averaging):
+        report = sweep(dataset, mode=mode, averaging=averaging,
+                       rel_thresholds=rel, abs_thresholds=abs_)
+        assert list(report.rows) == per_tolerance_sweep(dataset, mode, averaging, rel, abs_)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_boundary_at_a_tied_distance(self, mode):
+        # 10 and 14 both sit 2 from 12; the count at d=2 is strict, at just above it is not
+        for d, want in ((2.0, 0), (math.nextafter(2.0, 3.0), 1), (math.inf, 1)):
+            assert match_boundaries([12], [10, 14], d, mode) == want
+
+    @pytest.mark.parametrize("grid", ["rel_thresholds", "abs_thresholds"])
+    def test_negative_threshold_rejected(self, grid):
+        with pytest.raises(InputError, match="d_frames must be >= 0, got -0.5"):
+            sweep([([10], [100], 200)], **{grid: (0.1, -0.5)})
+
+
+class TestToleranceLabels:
+    def test_default_grids_keep_their_labels(self):
+        for d in REL_THRESHOLDS:
+            assert ThresholdScore("rel", d, 0.0, 0.0, 0.0).d_text == f"{d:.2f}"
+        for d in ABS_THRESHOLDS:
+            assert ThresholdScore("abs", d, 0.0, 0.0, 0.0).d_text == f"{d:g}"
+        assert ThresholdScore("abs", 5.0, 0.0, 0.0, 0.0).d_text == "5"
+
+    @pytest.mark.parametrize("kind, d, text", [
+        ("rel", 0.125, "0.125"), ("rel", 0.12, "0.12"), ("rel", 0.1, "0.10"),
+        ("rel", math.inf, "inf"), ("abs", 5.0000001, "5.0000001"), ("abs", 2.5, "2.5"),
+        ("abs", 1234567.0, "1234567.0"), ("abs", math.inf, "inf")])
+    def test_label_reads_back_as_the_tolerance(self, kind, d, text):
+        label = ThresholdScore(kind, d, 0.0, 0.0, 0.0).d_text
+        assert label == text
+        assert float(label) == d
+
+    def test_csv_rows_keep_distinct_tolerances_apart(self, tmp_path):
+        report = sweep([([10, 40], [12, 70], 100)], rel_thresholds=(0.125, 0.12),
+                       abs_thresholds=(5.0000001, 5.0))
+        path = tmp_path / "report.csv"
+        report.write_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[:2] for row in rows[1:5]] == [
+            ["rel", "0.125"], ["rel", "0.12"], ["abs", "5.0000001"], ["abs", "5"]]

@@ -338,6 +338,23 @@ class TestFusedUnit:
         with pytest.raises(NumericError, match="non-finite"):
             forward(np.random.default_rng(37).normal(size=(4, 6)), model)
 
+    @pytest.mark.parametrize("name", ["merge.w", "merge.b", "ffn.w1", "ffn.b1"])
+    def test_nan_before_the_first_unit_relu_raises(self, name):
+        # the relu passes NaN on, so the check on unit 0's output sees it
+        model = TransParserModel.initialize(SMALL, seed=37)
+        dict(model.named_parameters())[f"unit0.{name}"].value[:] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            forward(np.random.default_rng(37).normal(size=(4, 6)), model)
+
+    @pytest.mark.parametrize("name", ["merge.w", "ffn.b1"])
+    def test_nan_before_the_first_unit_relu_stops_training(self, name):
+        from tapkit.losses import LossConfig, train
+        model = TransParserModel.initialize(SMALL, seed=39)
+        dict(model.named_parameters())[f"unit0.{name}"].value[:] = np.nan
+        feats = np.random.default_rng(39).normal(size=(6, 6))
+        with pytest.raises(NumericError, match="non-finite loss at epoch 0"):
+            train([(feats, [3], 0)], model, LossConfig(epochs=1))
+
     def test_input_of_first_unit_is_a_constant(self):
         model = TransParserModel.initialize(SMALL, seed=35)
         graph = forward_graph(np.random.default_rng(35).normal(size=(4, 6)), model)

@@ -6,7 +6,8 @@ parser uses on its representatives).  The TCN baseline trains a two-layer
 temporal convolution to score each frame's boundary probability with a
 weighted BCE, then thresholds and peak-picks at inference.  Both layers run
 on plain arrays: training wraps them in one graph node with a hand-written
-backward, and inference builds no graph.
+backward and steps it with :func:`tapkit.linalg.sgd`; inference builds no
+graph.
 """
 
 from __future__ import annotations
@@ -232,7 +233,8 @@ def boundary_targets(length: int, starts, radius: int) -> np.ndarray:
 def tcn_train(dataset, cfg: TCNTrainConfig) -> TCNModel:
     """Fit the detector on ``(features, gt_starts)`` pairs with weighted BCE.
 
-    Deterministic for a fixed seed.  Raises when the labeled training set
+    Steps one instance at a time, unclipped, with :func:`tapkit.linalg.sgd`
+    (deterministic for a fixed seed).  Raises when the labeled training set
     contains no positive frames at all, or no negative frames while
     ``pos_weight`` is left to their count ratio (which would be 0).
     """
@@ -255,21 +257,10 @@ def tcn_train(dataset, cfg: TCNTrainConfig) -> TCNModel:
         raise ConfigError("training set labels contain no negative frames")
     pos_weight = cfg.pos_weight if cfg.pos_weight is not None else total_neg / total_pos
     model = TCNModel(feature_dim, cfg.kernel_size, cfg.hidden_channels, cfg.seed)
-    params = model.parameters()
-    velocity = [np.zeros_like(p.value) for p in params]
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.epochs):
-        for idx in rng.permutation(len(prepared)):
-            arr, targets = prepared[idx]
-            loss = la.weighted_bce_with_logits(model.logits_graph(arr), targets,
-                                               pos_weight)
-            if not np.isfinite(loss.item()):
-                raise NumericError("non-finite TCN training loss")
-            la.backward(loss)
-            for p, v in zip(params, velocity):
-                v *= cfg.momentum
-                v += p.grad
-                p.value -= cfg.learning_rate * v
+    la.sgd(model.parameters(), prepared,
+           lambda inst: (la.weighted_bce_with_logits(model.logits_graph(inst[0]), inst[1],
+                                                     pos_weight),),
+           cfg.epochs, cfg.seed, cfg.learning_rate, cfg.momentum, 1, 0.0)
     return model
 
 

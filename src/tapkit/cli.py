@@ -67,11 +67,11 @@ def cmd_synth(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # bad UTF-8 is a ValueError
                 raise ParseError(f"{args.config}: malformed JSON: {exc}") from exc
     else:
         payload = {}
-    if args.seed is not None:
+    if args.seed is not None and isinstance(payload, dict):
         payload["seed"] = args.seed
     cfg = data_mod.SynthConfig.from_dict(payload)
     features, records, prototypes = data_mod.generate_synthetic(cfg)
@@ -426,7 +426,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (TapkitError, IndexError) as exc:
+    except TapkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

@@ -12,6 +12,7 @@ every instance comes with exact ground-truth boundaries.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import warnings
@@ -257,8 +258,10 @@ class SynthConfig:
             raise ConfigError(
                 f"min segment length {lo} too short for transition width "
                 f"{self.transition_width} (needs >= width + 1)")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.action_orders is not None:
             if len(self.action_orders) != self.num_actions:
                 raise ConfigError("action_orders must give one order per action")
@@ -271,15 +274,23 @@ class SynthConfig:
                     raise ConfigError("action_orders must not repeat a prototype "
                                       "consecutively (the junction would be invisible)")
         total = sum(self.split_fractions)
-        if abs(total - 1.0) > 1e-9 or any(f < 0 for f in self.split_fractions):
+        # NaN fails every comparison, so the check asks for the valid range
+        if not abs(total - 1.0) <= 1e-9 or any(f < 0 for f in self.split_fractions):
             raise ConfigError("split_fractions must be nonnegative and sum to 1")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+        """Config from a parsed JSON object; every field is type-checked."""
+        if not isinstance(obj, dict):
+            raise ConfigError(f"synth config must be a JSON object, got {obj!r}")
+        unknown = set(obj) - set(_SYNTH_FIELDS)
         if unknown:
             raise ConfigError(f"unknown synth config fields: {sorted(unknown)}")
+        for key, value in obj.items():
+            check, wanted = _SYNTH_FIELDS[key]
+            if not check(value):
+                raise ConfigError(f"synth config field {key!r} must be {wanted}, "
+                                  f"got {value!r}")
         kwargs = dict(obj)
         for key in ("seg_len_range", "split_fractions"):
             if key in kwargs:
@@ -289,6 +300,32 @@ class SynthConfig:
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # leaves out bools
+
+
+def _is_real(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _is_list(value, length=None, item=_is_int) -> bool:
+    return (isinstance(value, (list, tuple)) and length in (None, len(value))
+            and all(map(item, value)))
+
+
+_SYNTH_FIELDS = {
+    **{name: (_is_int, "an int") for name in (
+        "num_prototypes", "feature_dim", "num_actions", "instances_per_action",
+        "transition_width", "seed")},
+    "noise_sigma": (_is_real, "a number"),
+    "seg_len_range": (lambda v: _is_list(v, 2), "a list of 2 ints"),
+    "split_fractions": (lambda v: _is_list(v, 3, _is_real), "a list of 3 numbers"),
+    "action_orders": (lambda v: v is None or _is_list(v, item=_is_list),
+                      "null or a list of int lists"),
+}
+"""Each JSON field of :class:`SynthConfig`: its type check and its wording."""
 
 
 def _sample_order(rng: np.random.Generator, num_prototypes: int) -> tuple[int, ...]:

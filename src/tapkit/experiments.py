@@ -131,6 +131,8 @@ def sampling_classifier(records: Sequence[AnnotationRecord],
     probe trains on the train split and reports top-1 and per-class-average
     accuracy on the test split.  The probe is deterministic.
     """
+    if num_segments < 1:
+        raise InputError(f"num_segments must be >= 1, got {num_segments}")
     if scheme not in SCHEMES:
         raise InputError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     if scheme == "predicted" and predictions is None:

@@ -6,8 +6,9 @@ are each one :class:`Node` with a hand-written backward; the TCN's
 probabilities go through :func:`_logistic`.  Values are plain 2-D numpy
 arrays wrapped in graph :class:`Node` objects; each operation records how to
 push an upstream gradient back to its operands, and :func:`backward` replays
-those rules from a scalar output.  Analytic gradients are verified against
-central finite differences with :func:`grad_check`.
+those rules from a scalar output.  :func:`sgd` trains both models.  Analytic
+gradients are verified against central finite differences with
+:func:`grad_check`.
 
 Conventions
 -----------
@@ -519,6 +520,53 @@ def backward(root: Node) -> None:
                 heapq.heappush(heap, (-parent.id, parent))
             else:
                 pending.append((node.id, contribution))
+
+
+def sgd(params: list[Node], instances, loss_of, epochs: int, seed: int,
+        learning_rate: float, momentum: float, batch_size: int,
+        grad_clip: float) -> list[list[float]]:
+    """SGD with momentum: the one update rule of both trainers.
+
+    ``loss_of(instance)`` returns the scalar loss node and any floats to sum
+    with it; each epoch's sums are returned.  The order is reshuffled each
+    epoch from ``seed``, a batch's gradients are summed in instance order and
+    averaged, and ``grad_clip > 0`` caps the batch's global norm.  Raises on
+    the first non-finite loss, naming the epoch and instance.
+    """
+    velocity = [np.zeros_like(p.value) for p in params]
+    accum = [np.zeros_like(p.value) for p in params]
+    rng = np.random.default_rng(seed)
+    history = []
+    for epoch in range(epochs):
+        order = rng.permutation(len(instances))
+        sums = None
+        for lo in range(0, len(order), batch_size):
+            batch = order[lo:lo + batch_size]
+            for k, idx in enumerate(batch):
+                loss, *parts = loss_of(instances[idx])
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise NumericError(f"non-finite loss at epoch {epoch}, instance {idx}")
+                sums = [s + t for s, t in zip(sums or itertools.repeat(0.0), (value, *parts))]
+                backward(loss)
+                for buf, p in zip(accum, params):
+                    np.add(buf if k else 0.0, p.grad, out=buf)  # a batch starts at +0.0
+            inv = 1.0 / len(batch)
+            if grad_clip > 0:
+                # global-norm clip keeps the ratio loss's near-pole gradients
+                # from blowing up the first few updates
+                norm = np.sqrt(sum(float((buf * buf).sum()) for buf in accum) * inv * inv)
+                if norm > grad_clip:
+                    inv *= grad_clip / norm
+            if inv != 1.0:
+                for buf in accum:
+                    buf *= inv
+            for p, v, buf in zip(params, velocity, accum):
+                v *= momentum
+                v += buf
+                p.value -= learning_rate * v
+        history.append(sums)
+    return history
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Training losses and the SGD loop.
+"""Training losses and the parser's trainer.
 
 Two signals train the parser: a local ratio loss that pulls attention
 responses together inside a sub-action and pushes them apart across
 sub-actions, and a global classification loss on mean-pooled logits that
 keeps the refined features predictive of the action label.  Both are read
-off the final unit (for a one-unit model, that unit).
+off the final unit (for a one-unit model, that unit).  :func:`train` steps
+the parser with :func:`tapkit.linalg.sgd`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import linalg as la
 from .data import check_starts
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError
 from .model import TransParserModel, forward_graph
 
 EPSILON_DIV = 1e-8
@@ -97,11 +98,10 @@ def train(dataset, model: TransParserModel, cfg: LossConfig,
           log_path=None) -> tuple[TransParserModel, list[dict]]:
     """SGD with momentum over ``(features, segmentation, label)`` triples.
 
-    Instance order is reshuffled each epoch from ``cfg.seed``; gradients
-    within a batch are averaged in instance order, so the whole run is
-    deterministic for a fixed seed.  History carries per-epoch means of the
-    raw loss components and the weighted total.  Raises on the first
-    non-finite loss, naming the epoch and instance.
+    The loop is :func:`tapkit.linalg.sgd` (deterministic for a fixed
+    ``cfg.seed``; raises on the first non-finite loss, naming the epoch and
+    instance).  History carries per-epoch means of the raw loss components
+    and the weighted total.
     """
     cfg.validate()
     if not dataset:
@@ -117,53 +117,14 @@ def train(dataset, model: TransParserModel, cfg: LossConfig,
         starts = check_starts(segmentation, arr.shape[0], f"training instance {i}")
         prepared.append((arr, starts, int(label)))
 
-    params = model.parameters()
-    velocity = [np.zeros_like(p.value) for p in params]
-    accum = [np.zeros_like(p.value) for p in params]
-    rng = np.random.default_rng(cfg.seed)
-    history: list[dict] = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(prepared))
-        local_sum = 0.0
-        global_sum = 0.0
-        total_sum = 0.0
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = order[lo:lo + cfg.batch_size]
-            for buf in accum:
-                buf.fill(0.0)
-            for idx in batch:
-                arr, starts, label = prepared[idx]
-                graph = forward_graph(arr, model)
-                total, lval, gval = combined_loss(graph, starts, label, cfg)
-                tval = total.item()
-                if not np.isfinite(tval):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch}, instance {idx}")
-                local_sum += lval
-                global_sum += gval
-                total_sum += tval
-                la.backward(total)
-                for buf, p in zip(accum, params):
-                    buf += p.grad
-            inv = 1.0 / len(batch)
-            if cfg.grad_clip > 0:
-                # global-norm clip keeps the ratio loss's near-pole gradients
-                # from blowing up the first few updates
-                norm_sq = sum(float((buf * buf).sum()) for buf in accum) * inv * inv
-                norm = np.sqrt(norm_sq)
-                if norm > cfg.grad_clip:
-                    inv *= cfg.grad_clip / norm
-            for p, v, buf in zip(params, velocity, accum):
-                v *= cfg.momentum
-                v += buf * inv
-                p.value -= cfg.learning_rate * v
-        count = len(prepared)
-        history.append({
-            "epoch": epoch,
-            "local_loss": local_sum / count,
-            "global_loss": global_sum / count,
-            "total": total_sum / count,
-        })
+    sums = la.sgd(model.parameters(), prepared,
+                  lambda inst: combined_loss(forward_graph(inst[0], model), *inst[1:], cfg),
+                  cfg.epochs, cfg.seed, cfg.learning_rate, cfg.momentum,
+                  cfg.batch_size, cfg.grad_clip)
+    count = len(prepared)
+    history = [{"epoch": epoch, "local_loss": local / count,
+                "global_loss": glob / count, "total": total / count}
+               for epoch, (total, local, glob) in enumerate(sums)]
     if log_path is not None:
         with open(log_path, "w", encoding="utf-8") as fh:
             for record in history:

@@ -59,33 +59,6 @@ class ModelConfig:
             raise ConfigError(f"num_units must be >= 1, got {self.num_units}")
 
 
-class PatternMiner:
-    """Learnable bank of sub-action patterns, one pattern per row."""
-
-    def __init__(self, weights):
-        arr = np.asarray(weights, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DimensionError(f"pattern bank must be 2-D, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise NumericError("pattern bank contains non-finite entries")
-        if not arr.any():
-            # all-zero bank makes every response permanently uniform
-            raise InputError("pattern bank must not be all-zero")
-        self.node = la.Node(arr)
-
-    @property
-    def num_patterns(self) -> int:
-        return self.node.shape[0]
-
-    @property
-    def pattern_dim(self) -> int:
-        return self.node.shape[1]
-
-    @property
-    def patterns(self) -> np.ndarray:
-        return self.node.value
-
-
 @dataclass
 class AttentionHead:
     w_q: la.Node
@@ -97,7 +70,7 @@ class AttentionHead:
 class SPSUnit:
     """One soft-pattern-strengthen block: bank, two heads, merge fc, FFN."""
 
-    miner: PatternMiner
+    miner: la.Node  # the pattern bank, one pattern per row
     heads: list[AttentionHead]
     merge_w: la.Node
     merge_b: la.Node
@@ -107,7 +80,7 @@ class SPSUnit:
     ffn_b2: la.Node
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, la.Node]]:
-        yield f"{prefix}miner", self.miner.node
+        yield f"{prefix}miner", self.miner
         for h, head in enumerate(self.heads):
             yield f"{prefix}head{h}.w_q", head.w_q
             yield f"{prefix}head{h}.w_k", head.w_k
@@ -126,7 +99,7 @@ def _uniform_init(rng: np.random.Generator, rows: int, cols: int) -> la.Node:
 
 
 def _init_unit(rng: np.random.Generator, cfg: ModelConfig) -> SPSUnit:
-    miner = PatternMiner(
+    miner = la.Node(
         rng.uniform(-1.0 / np.sqrt(cfg.pattern_dim), 1.0 / np.sqrt(cfg.pattern_dim),
                     size=(cfg.num_patterns, cfg.pattern_dim)))
     heads = [
@@ -272,8 +245,8 @@ class TransParserModel:
                 np.copyto(node.value, values.reshape(rows, cols))
             if fh.read(1):
                 raise FormatError("trailing bytes after checkpoint payload")
-        # np.copyto bypasses PatternMiner's own check
-        if any(not unit.miner.patterns.any() for unit in model.units):
+        # an all-zero bank makes every response permanently uniform
+        if any(not unit.miner.value.any() for unit in model.units):
             raise FormatError("checkpoint has an all-zero pattern bank")
         return model
 
@@ -324,7 +297,7 @@ def _unit_attention(x: np.ndarray, unit: SPSUnit) -> tuple[list[tuple], np.ndarr
     """One unit's attention half: each head's ``(q, k_t, a)``, and the
     response, the mean of the heads' rows, so every row is a probability
     vector."""
-    bank = unit.miner.patterns
+    bank = unit.miner.value
     heads = []
     for head in unit.heads:
         q = x @ head.w_q.value
@@ -347,7 +320,7 @@ def _unit_values(x: np.ndarray, unit: SPSUnit) -> tuple[np.ndarray, np.ndarray, 
     tests keep as an oracle, so values and gradients are bitwise equal to
     it.
     """
-    bank = unit.miner.patterns
+    bank = unit.miner.value
     attention, response = _unit_attention(x, unit)
     heads = []
     for head, (q, k_t, a) in zip(unit.heads, attention):
@@ -374,7 +347,7 @@ def _unit_grads(unit: SPSUnit, saved: tuple, g_out: np.ndarray,
     sliced gradient.
     """
     x, heads, cat, amplified, mask, hidden = saved
-    bank = unit.miner.patterns
+    bank = unit.miner.value
     g_pre = (g_out @ unit.ffn_w2.value.T) * mask
     g_amp = g_pre @ unit.ffn_w1.value.T
     g_cat = g_amp @ unit.merge_w.value.T
@@ -496,7 +469,7 @@ def retrieve_top_frames(traces: Iterable[ForwardTrace], pattern_index: int,
     for trace in traces:
         resp = trace.response
         if not 0 <= pattern_index < resp.shape[1]:
-            raise IndexError(
+            raise InputError(
                 f"pattern index {pattern_index} out of range for {resp.shape[1]} patterns")
         col = resp[:, pattern_index]
         for t in range(resp.shape[0]):

@@ -23,7 +23,7 @@ def spread_model(cfg: ModelConfig, seed: int,
     """
     model = TransParserModel.initialize(cfg, seed=seed)
     for unit in model.units:
-        unit.miner.node.value *= miner_scale
+        unit.miner.value *= miner_scale
         for head in unit.heads:
             head.w_q.value *= q_scale
             head.w_k.value *= k_scale

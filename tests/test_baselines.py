@@ -190,6 +190,61 @@ class TestTcnChainOracle:
             model.predict(np.random.default_rng(14).normal(size=(6, 4)))
 
 
+def oracle_tcn_train(dataset, cfg):
+    """The TCN's own SGD loop from before :func:`tapkit.linalg.sgd`: the
+    oracle that the shared loop must equal bit for bit."""
+    prepared = []
+    for features, starts in dataset:
+        arr = np.asarray(features, dtype=np.float64)
+        prepared.append((arr, boundary_targets(arr.shape[0], starts,
+                                               cfg.neighbor_radius).reshape(-1, 1)))
+    targets = np.concatenate([t for _, t in prepared])
+    pos_weight = cfg.pos_weight
+    if pos_weight is None:
+        pos_weight = (1.0 - targets).sum() / targets.sum()
+    model = TCNModel(prepared[0][0].shape[1], cfg.kernel_size, cfg.hidden_channels,
+                     cfg.seed)
+    params = model.parameters()
+    velocity = [np.zeros_like(p.value) for p in params]
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        for idx in rng.permutation(len(prepared)):
+            arr, target = prepared[idx]
+            loss = la.weighted_bce_with_logits(model.logits_graph(arr), target,
+                                               pos_weight)
+            la.backward(loss)
+            for p, v in zip(params, velocity):
+                v *= cfg.momentum
+                v += p.grad
+                p.value -= cfg.learning_rate * v
+    return model
+
+
+class TestSharedSgdOracle:
+    @pytest.mark.parametrize("pos_weight", [None, 1.5])
+    def test_training_weights_are_bytes_equal(self, pos_weight):
+        rng = np.random.default_rng(21)
+        dataset = [(rng.normal(size=(length, 5)), (length // 3, 2 * length // 3))
+                   for length in (4, 9, 16, 30, 41)]
+        cfg = TCNTrainConfig(kernel_size=5, hidden_channels=6, epochs=3, seed=8,
+                             pos_weight=pos_weight)
+        shared = tcn_train(dataset, cfg)
+        own = oracle_tcn_train(dataset, cfg)
+        for a, b in zip(shared.parameters(), own.parameters(), strict=True):
+            assert a.value.tobytes() == b.value.tobytes()
+
+    def test_nan_weight_stops_training(self, monkeypatch):
+        init = TCNModel.__init__
+
+        def init_with_nan(self, *args):
+            init(self, *args)
+            self.w2[0].value[1, 0] = np.nan
+
+        monkeypatch.setattr(TCNModel, "__init__", init_with_nan)
+        with pytest.raises(NumericError, match="non-finite loss at epoch 0, instance"):
+            tcn_train([(np.ones((6, 2)), (3,))], TCNTrainConfig(epochs=2))
+
+
 class TestTcn:
     def make_spike_dataset(self, count=6, length=40, seed=0):
         # one feature channel jumps at the boundary: linearly separable

@@ -27,6 +27,13 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def assert_one_error_line(code, capsys):
+    """Exit 4 with a single ``error:`` line on stderr, so no traceback."""
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 @pytest.fixture()
 def tiny_data(tmp_path):
     config = write_config(tmp_path)
@@ -243,14 +250,16 @@ class TestPipeline:
         assert len(out) == 5
         assert all("frame" in line and "score" in line for line in out)
 
-    def test_patterns_index_out_of_range_exits_4(self, tiny_data, tmp_path):
+    def test_patterns_index_out_of_range_exits_4(self, tiny_data, tmp_path, capsys):
         model = tmp_path / "model.tpsr"
         run(["train", "--data", tiny_data, "--model-out", model,
              "--patterns", "6", "--pattern-dim", "8", "--attn-dim", "4",
              "--value-dim", "4", "--hidden-dim", "12", "--epochs", "1",
              "--seed", "0"])
-        assert run(["patterns", "--data", tiny_data, "--model", model,
-                    "--pattern", "99", "--top", "5"]) == 4
+        capsys.readouterr()  # drop the train command's output
+        code = run(["patterns", "--data", tiny_data, "--model", model,
+                    "--pattern", "99", "--top", "5"])
+        assert_one_error_line(code, capsys)
 
     def test_nonfinite_checkpoint_exits_4(self, tiny_data, tmp_path, capsys):
         model = tmp_path / "model.tpsr"
@@ -368,6 +377,32 @@ class TestStatsAndSampling:
     def test_missing_data_dir_exits_4(self, capsys, monkeypatch):
         monkeypatch.delenv("TAPKIT_DATA_DIR", raising=False)
         assert run(["stats"]) == 4
+
+
+class TestCleanFailures:
+    """Malformed input exits with its code and one stderr line, no traceback."""
+
+    @pytest.mark.parametrize("text", [
+        '{"seg_len_range": [5]}', '{"seg_len_range": 5}', '{"seg_len_range": [8.5, 20]}',
+        '{"num_prototypes": "4"}', '{"instances_per_action": 1.5}',
+        '{"transition_width": true}', '{"noise_sigma": NaN}', '[1]',
+        '{"split_fractions": [NaN, 0.5, 0.5]}', '{"split_fractions": [1.0]}',
+        '{"action_orders": [[0, 1.5], [1, 0], [0, 2], [2, 1]]}', '{"seed": 1\udcff}',
+    ])
+    def test_malformed_synth_config(self, tmp_path, capsys, text):
+        config = tmp_path / "synth.json"
+        config.write_bytes(text.encode("utf-8", errors="surrogateescape"))  # \udcff: 0xff
+        code = run(["synth", "--config", config, "--out", tmp_path / "d", "--seed", "1"])
+        assert_one_error_line(code, capsys)
+        assert not (tmp_path / "d").exists()
+
+    def test_negative_synth_seed(self, tmp_path, capsys):
+        assert_one_error_line(run(["synth", "--out", tmp_path / "d", "--seed", "-1"]), capsys)
+
+    @pytest.mark.parametrize("segments", ["0", "-1"])
+    def test_compare_sampling_without_segments(self, tiny_data, capsys, segments):
+        code = run(["compare-sampling", "--data", tiny_data, "--segments", segments])
+        assert_one_error_line(code, capsys)
 
 
 class TestUsageErrors:

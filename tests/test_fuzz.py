@@ -1,4 +1,5 @@
-"""Fuzz the four file readers: annotations, predictions, features, checkpoints.
+"""Fuzz the five file readers: annotations, predictions, features, checkpoints
+and the synth config.
 
 Each example takes one valid file of a tiny dataset and applies one
 mutation: a truncation, a byte flip, or, for the JSON inputs, one field
@@ -11,6 +12,8 @@ Examples are derandomized so that every run checks the same inputs.
 import contextlib
 import io
 import json
+import math
+import shutil
 import struct
 import warnings
 
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 from tapkit.cli import main
 from tapkit.data import (SynthConfig, generate_synthetic, load_annotations,
                          load_features, load_predictions, write_dataset)
-from tapkit.errors import TapkitError
+from tapkit.errors import ParseError, TapkitError
 from tapkit.model import ModelConfig, TransParserModel
 
 FUZZ = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -32,6 +35,17 @@ SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 300),
 WRONG_VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4),
                          st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=2),
                          st.just(DROP))
+
+# small magnitudes only, so that no accepted synth config builds a large corpus
+SMALL_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 8),
+                          st.floats(-8, 8), st.sampled_from([math.nan, math.inf]),
+                          st.text(max_size=3))
+SMALL_VALUES = st.one_of(SMALL_SCALARS, st.lists(SMALL_SCALARS, max_size=4),
+                         st.lists(st.lists(st.integers(-1, 4), max_size=4), max_size=3),
+                         st.just(DROP))
+SYNTH = dict(num_prototypes=3, feature_dim=4, num_actions=2, instances_per_action=3,
+             seg_len_range=[3, 5], transition_width=0, noise_sigma=0.1, seed=0,
+             action_orders=None, split_fractions=[0.0, 0.0, 1.0])
 
 ANNOTATION_FIELDS = ("id", "video_id", "label", "length", "boundaries", "split")
 
@@ -54,7 +68,10 @@ def corpus(tmp_path_factory):
                                             attn_dim=2, value_dim=2, hidden_dim=4,
                                             num_classes=2, num_units=1),
                                 seed=0, labels=["act00", "act01"]).save(model)
+    synth = base / "synth.json"
+    synth.write_text(json.dumps(SYNTH) + "\n")
     return {"data": data, "records": records, "pred": pred, "model": model,
+            "synth": synth,
             "fseq": data / "features" / f"{records[0].instance_id}.fseq",
             "parse": ["parse", "--data", data, "--model", model,
                       "--out", base / "out.jsonl"]}
@@ -69,9 +86,9 @@ def mutate_bytes(data, blob):
     return bytes(out)
 
 
-def mutate_object(data, obj, fields):
+def mutate_object(data, obj, fields, values=WRONG_VALUES):
     field = data.draw(st.sampled_from(fields), label="field")
-    value = data.draw(WRONG_VALUES, label="value")
+    value = data.draw(values, label="value")
     obj = dict(obj)
     if value is DROP:
         del obj[field]
@@ -80,11 +97,11 @@ def mutate_object(data, obj, fields):
     return obj
 
 
-def mutate_jsonl(data, blob, fields):
+def mutate_jsonl(data, blob, fields, values=WRONG_VALUES):
     if data.draw(st.booleans(), label="wrong type"):
         lines = blob.decode("utf-8").splitlines()
         i = data.draw(st.integers(0, len(lines) - 1), label="line")
-        lines[i] = json.dumps(mutate_object(data, json.loads(lines[i]), fields))
+        lines[i] = json.dumps(mutate_object(data, json.loads(lines[i]), fields, values))
         return ("\n".join(lines) + "\n").encode("utf-8")
     return mutate_bytes(data, blob)
 
@@ -157,3 +174,25 @@ def test_checkpoint(corpus, data):
         blob = mutate_bytes(data, blob)
     # finite but huge weights can overflow the forward pass (exit 5)
     check(path, blob, lambda: TransParserModel.load(path), corpus["parse"], (0, 5))
+
+
+def read_synth_config(path):
+    try:
+        obj = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    return SynthConfig.from_dict(obj)
+
+
+@FUZZ
+@given(data=st.data())
+def test_synth_config(corpus, data):
+    path = corpus["synth"]
+    out = path.with_name("synth_out")
+    blob = mutate_jsonl(data, path.read_bytes(), tuple(SYNTH), SMALL_VALUES)
+    try:
+        # an accepted config must generate and write its corpus
+        check(path, blob, lambda: read_synth_config(path),
+              ["synth", "--config", path, "--out", out], (0,))
+    finally:
+        shutil.rmtree(out, ignore_errors=True)

@@ -385,6 +385,78 @@ class TestTrain:
             assert np.array_equal(a.value, b.value)
 
 
+def oracle_train(dataset, model, cfg):
+    """The parser's own SGD loop from before :func:`tapkit.linalg.sgd`: the
+    oracle that the shared loop must equal bit for bit."""
+    prepared = [(np.asarray(f, dtype=np.float64), list(s), int(y)) for f, s, y in dataset]
+    params = model.parameters()
+    velocity = [np.zeros_like(p.value) for p in params]
+    accum = [np.zeros_like(p.value) for p in params]
+    rng = np.random.default_rng(cfg.seed)
+    history = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(prepared))
+        local_sum = global_sum = total_sum = 0.0
+        for lo in range(0, len(order), cfg.batch_size):
+            batch = order[lo:lo + cfg.batch_size]
+            for buf in accum:
+                buf.fill(0.0)
+            for idx in batch:
+                arr, starts, label = prepared[idx]
+                total, lval, gval = combined_loss(forward_graph(arr, model), starts,
+                                                  label, cfg)
+                tval = total.item()
+                if not np.isfinite(tval):
+                    raise NumericError(f"non-finite loss at epoch {epoch}, instance {idx}")
+                local_sum += lval
+                global_sum += gval
+                total_sum += tval
+                la.backward(total)
+                for buf, p in zip(accum, params):
+                    buf += p.grad
+            inv = 1.0 / len(batch)
+            if cfg.grad_clip > 0:
+                norm_sq = sum(float((buf * buf).sum()) for buf in accum) * inv * inv
+                norm = np.sqrt(norm_sq)
+                if norm > cfg.grad_clip:
+                    inv *= cfg.grad_clip / norm
+            for p, v, buf in zip(params, velocity, accum):
+                v *= cfg.momentum
+                v += buf * inv
+                p.value -= cfg.learning_rate * v
+        count = len(prepared)
+        history.append({"epoch": epoch, "local_loss": local_sum / count,
+                        "global_loss": global_sum / count, "total": total_sum / count})
+    return history
+
+
+def outcome(fn, model):
+    """Weights' bytes and history (as JSON text) of one run, or its error."""
+    try:
+        history = fn()
+    except NumericError as exc:
+        return str(exc)
+    return (json.dumps(history),
+            [p.value.tobytes() for p in model.parameters()])
+
+
+class TestSharedSgdOracle:
+    @pytest.mark.parametrize("num_units", [1, 2])
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("grad_clip", [5.0, 0.0])
+    @pytest.mark.parametrize("w_local", [0.0, 1.0])
+    def test_weights_and_history_are_bytes_equal(self, num_units, batch_size,
+                                                 grad_clip, w_local):
+        cfg = LossConfig(epochs=2, learning_rate=0.02, batch_size=batch_size,
+                         grad_clip=grad_clip, w_local=w_local, seed=6)
+        data = tiny_dataset(seed=4)
+        shared = tiny_model(seed=5, num_units=num_units)
+        own = tiny_model(seed=5, num_units=num_units)
+        got = outcome(lambda: train(data, shared, cfg)[1], shared)
+        want = outcome(lambda: oracle_train(data, own, cfg), own)
+        assert got == want
+
+
 class TestLossConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -8,7 +8,7 @@ import pytest
 import tapkit.linalg as la
 from tapkit.errors import (ConfigError, DimensionError, FormatError, InputError,
                            NumericError)
-from tapkit.model import (ForwardTrace, GraphTrace, ModelConfig, PatternMiner, TransParserModel,
+from tapkit.model import (ForwardTrace, GraphTrace, ModelConfig, TransParserModel,
                           _unit_nodes, _unit_values, _weight_count, forward, forward_graph,
                           retrieve_top_frames)
 
@@ -19,7 +19,7 @@ ONE_UNIT = replace(SMALL, num_units=1)
 
 def unit_oracle(feats, unit):
     """Per-frame scalar-loop re-derivation of one unit's forward pass."""
-    phi = unit.miner.patterns
+    phi = unit.miner.value
     n = feats.shape[0]
     m = phi.shape[0]
     out = np.zeros((n, feats.shape[1]))
@@ -179,10 +179,10 @@ def chain_unit(feats, unit):
     head_outs = []
     for head in unit.heads:
         queries = la.matmul(feats, head.w_q)
-        keys = la.matmul(unit.miner.node, head.w_k)
+        keys = la.matmul(unit.miner, head.w_k)
         alpha = la.softmax_rows(la.matmul(queries, la.transpose(keys)))
         alphas.append(alpha)
-        head_outs.append(la.matmul(alpha, la.matmul(unit.miner.node, head.w_v)))
+        head_outs.append(la.matmul(alpha, la.matmul(unit.miner, head.w_v)))
     merged = chain_affine(la.hconcat(head_outs[0], head_outs[1]), unit.merge_w, unit.merge_b)
     amplified = la.add(feats, merged)
     hidden = la.relu(chain_affine(amplified, unit.ffn_w1, unit.ffn_b1))
@@ -418,7 +418,7 @@ class TestRetrieveTopFrames:
 
     def test_pattern_index_out_of_range(self):
         tr = self._trace("a", [[0.5, 0.5]])
-        with pytest.raises(IndexError):
+        with pytest.raises(InputError):
             retrieve_top_frames([tr], 5, 1)
 
 
@@ -512,7 +512,7 @@ class TestCheckpoint:
 
     def test_all_zero_pattern_bank_rejected(self, tmp_path):
         model = TransParserModel.initialize(SMALL, seed=20)
-        model.units[1].miner.node.value[:] = 0.0
+        model.units[1].miner.value[:] = 0.0
         path = tmp_path / "model.tpsr"
         model.save(path)
         with pytest.raises(FormatError, match="all-zero pattern bank"):
@@ -568,10 +568,6 @@ def rewrite_header(path, **extra):
 
 
 class TestConstruction:
-    def test_all_zero_bank_rejected(self):
-        with pytest.raises(InputError):
-            PatternMiner(np.zeros((3, 4)))
-
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             ModelConfig(num_units=0).validate()

@@ -11,6 +11,8 @@ Stdout carries only results (counts, losses, scores, tables) and never echoes
 a path the caller passed in; errors go to stderr.  Exit codes: 0 success,
 2 usage, 3 missing file / IO, 4 data or configuration problem, 5 numeric
 failure.
+Each call builds the argparse tree for its own command: every command keeps
+its parser and help line, but only the invoked one gets its arguments.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import csv
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import CHECKPOINT_FORMAT_VERSION, FEATURE_FORMAT_VERSION, __version__
 from . import data as data_mod
@@ -297,7 +301,22 @@ def _add_optimizer(p):
     p.add_argument("--lambda", dest="lambda_reg", type=float, default=1.0)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The argparse tree for one call.  Every command gets its parser and help
+    line; only the one ``argv`` names (its first non-option item, and after
+    ``baseline`` the next) gets its arguments, which cost more to build than
+    a short command's work."""
+    words = [arg for arg in argv if not arg.startswith("-")]
+
+    def command(parent, name, help_text, func=None, level=0):
+        """Add subparser ``name``; return it, for its arguments, only if invoked."""
+        p = parent.add_parser(name, help=help_text)
+        if words[level:level + 1] != [name]:
+            return None
+        if func is not None:
+            p.set_defaults(func=func)
+        return p
+
     parser = argparse.ArgumentParser(
         prog="tapkit",
         description="Temporal action parsing toolkit: train the pattern-bank "
@@ -309,114 +328,110 @@ def build_parser() -> argparse.ArgumentParser:
                  f"checkpoint format v{CHECKPOINT_FORMAT_VERSION})"))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--config", default=None, help="JSON file of generator settings")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_synth)
+    if p := command(sub, "synth", "generate a synthetic dataset", cmd_synth):
+        p.add_argument("--config", default=None, help="JSON file of generator settings")
+        p.add_argument("--out", required=True)
+        p.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("train", help="train the parser on the train split")
-    _add_data_arg(p)
-    p.add_argument("--model-out", required=True)
-    p.add_argument("--log", default=None, help="epoch log path "
-                   "(default: <model-out>.log.jsonl)")
-    p.add_argument("--no-local-loss", action="store_true")
-    _add_model_dims(p)
-    _add_optimizer(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_train)
+    if p := command(sub, "train", "train the parser on the train split", cmd_train):
+        _add_data_arg(p)
+        p.add_argument("--model-out", required=True)
+        p.add_argument("--log", default=None, help="epoch log path "
+                       "(default: <model-out>.log.jsonl)")
+        p.add_argument("--no-local-loss", action="store_true")
+        _add_model_dims(p)
+        _add_optimizer(p)
+        p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("parse", help="predict sub-action starts with a checkpoint")
-    _add_data_arg(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--smooth-window", type=int, default=None)
-    p.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_parse)
+    if p := command(sub, "parse", "predict sub-action starts with a checkpoint", cmd_parse):
+        _add_data_arg(p)
+        p.add_argument("--model", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--smooth-window", type=int, default=None)
+        p.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
+        p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("eval", help="score a prediction file against ground truth")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--gt", default=None, help="dataset directory holding "
-                   "annotations.jsonl (default: $TAPKIT_DATA_DIR)")
-    p.add_argument("--mode", choices=["one-to-one", "independent"],
-                   default="one-to-one")
-    p.add_argument("--macro", action="store_true",
-                   help="macro-average per-instance scores instead of pooling counts")
-    p.add_argument("--out", default=None, help="CSV report path")
-    p.add_argument("--rel-thresholds", type=_threshold_list, default=REL_THRESHOLDS,
-                   help="comma list overriding the relative grid")
-    p.add_argument("--abs-thresholds", type=_threshold_list, default=ABS_THRESHOLDS,
-                   help="comma list overriding the absolute grid")
-    p.set_defaults(func=cmd_eval)
+    if p := command(sub, "eval", "score a prediction file against ground truth", cmd_eval):
+        p.add_argument("--pred", required=True)
+        p.add_argument("--gt", default=None, help="dataset directory holding "
+                       "annotations.jsonl (default: $TAPKIT_DATA_DIR)")
+        p.add_argument("--mode", choices=["one-to-one", "independent"],
+                       default="one-to-one")
+        p.add_argument("--macro", action="store_true",
+                       help="macro-average per-instance scores instead of pooling counts")
+        p.add_argument("--out", default=None, help="CSV report path")
+        p.add_argument("--rel-thresholds", type=_threshold_list, default=REL_THRESHOLDS,
+                       help="comma list overriding the relative grid")
+        p.add_argument("--abs-thresholds", type=_threshold_list, default=ABS_THRESHOLDS,
+                       help="comma list overriding the absolute grid")
 
-    p = sub.add_parser("baseline", help="run a parsing baseline")
-    bsub = p.add_subparsers(dest="baseline", required=True)
+    if p := command(sub, "baseline", "run a parsing baseline"):
+        bsub = p.add_subparsers(dest="baseline", required=True)
 
-    b = bsub.add_parser("kmeans", help="cluster-transition parsing")
-    _add_data_arg(b)
-    b.add_argument("--k", type=int, default=4)
-    b.add_argument("--out", required=True)
-    b.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
-    b.add_argument("--seed", type=int, default=0)
-    b.set_defaults(func=cmd_baseline_kmeans)
+        if b := command(bsub, "kmeans", "cluster-transition parsing", cmd_baseline_kmeans, 1):
+            _add_data_arg(b)
+            b.add_argument("--k", type=int, default=4)
+            b.add_argument("--out", required=True)
+            b.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
+            b.add_argument("--seed", type=int, default=0)
 
-    b = bsub.add_parser("tcn", help="temporal-convolution boundary detector")
-    _add_data_arg(b)
-    b.add_argument("--out", required=True)
-    b.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
-    b.add_argument("--kernel-size", type=int, default=9)
-    b.add_argument("--hidden-channels", type=int, default=32)
-    b.add_argument("--neighbor-radius", type=int, default=2)
-    b.add_argument("--pos-weight", type=float, default=None)
-    b.add_argument("--threshold", type=float, default=0.5)
-    b.add_argument("--nms-radius", type=int, default=5)
-    b.add_argument("--epochs", type=int, default=30)
-    b.add_argument("--lr", type=float, default=0.05)
-    b.add_argument("--momentum", type=float, default=0.9)
-    b.add_argument("--seed", type=int, default=0)
-    b.set_defaults(func=cmd_baseline_tcn)
+        if b := command(bsub, "tcn", "temporal-convolution boundary detector",
+                        cmd_baseline_tcn, level=1):
+            _add_data_arg(b)
+            b.add_argument("--out", required=True)
+            b.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
+            b.add_argument("--kernel-size", type=int, default=9)
+            b.add_argument("--hidden-channels", type=int, default=32)
+            b.add_argument("--neighbor-radius", type=int, default=2)
+            b.add_argument("--pos-weight", type=float, default=None)
+            b.add_argument("--threshold", type=float, default=0.5)
+            b.add_argument("--nms-radius", type=int, default=5)
+            b.add_argument("--epochs", type=int, default=30)
+            b.add_argument("--lr", type=float, default=0.05)
+            b.add_argument("--momentum", type=float, default=0.9)
+            b.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("stats", help="dataset statistics")
-    _add_data_arg(p)
-    p.set_defaults(func=cmd_stats)
+    if p := command(sub, "stats", "dataset statistics", cmd_stats):
+        _add_data_arg(p)
 
-    p = sub.add_parser("ablate", help="unit-count x local-loss ablation table")
-    _add_data_arg(p)
-    p.add_argument("--out", required=True)
-    _add_model_dims(p)
-    _add_optimizer(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_ablate)
+    if p := command(sub, "ablate", "unit-count x local-loss ablation table", cmd_ablate):
+        _add_data_arg(p)
+        p.add_argument("--out", required=True)
+        _add_model_dims(p)
+        _add_optimizer(p)
+        p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("compare-sampling",
-                       help="uniform vs aligned (vs predicted) linear-probe accuracy")
-    _add_data_arg(p)
-    p.add_argument("--pred", default=None, help="prediction JSONL for the "
-                   "'predicted' scheme")
-    p.add_argument("--segments", type=int, default=3)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_compare_sampling)
+    if p := command(sub, "compare-sampling",
+                    "uniform vs aligned (vs predicted) linear-probe accuracy",
+                    cmd_compare_sampling):
+        _add_data_arg(p)
+        p.add_argument("--pred", default=None, help="prediction JSONL for the "
+                       "'predicted' scheme")
+        p.add_argument("--segments", type=int, default=3)
+        p.add_argument("--out", default=None)
+        p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("patterns", help="frames with the highest response "
-                       "for one pattern")
-    _add_data_arg(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--pattern", type=int, required=True)
-    p.add_argument("--top", type=int, default=10)
-    p.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_patterns)
+    if p := command(sub, "patterns", "frames with the highest response for one pattern",
+                    cmd_patterns):
+        _add_data_arg(p)
+        p.add_argument("--model", required=True)
+        p.add_argument("--pattern", type=int, required=True)
+        p.add_argument("--top", type=int, default=10)
+        p.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
+        p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one ``tapkit`` command and return its exit code.  The parser is
+    built for that command alone; NumPy's floating-point warnings are off,
+    as every result that can go non-finite is checked and reported."""
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return EXIT_IO

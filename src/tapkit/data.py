@@ -12,9 +12,9 @@ every instance comes with exact ground-truth boundaries.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -258,7 +258,8 @@ class SynthConfig:
             raise ConfigError(
                 f"min segment length {lo} too short for transition width "
                 f"{self.transition_width} (needs >= width + 1)")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+        # compared, not converted: an int beyond the float range must not raise
+        if not 0 <= self.noise_sigma <= sys.float_info.max:
             raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -273,6 +274,16 @@ class SynthConfig:
                 if any(a == b for a, b in zip(order, order[1:])):
                     raise ConfigError("action_orders must not repeat a prototype "
                                       "consecutively (the junction would be invisible)")
+        # NumPy refuses an array whose byte size overflows intp; the largest
+        # are the prototypes and one instance's blend weights and frames
+        segments = 6 if self.action_orders is None else max(map(len, self.action_orders))
+        for names, count in (
+                ("num_prototypes x feature_dim", self.num_prototypes * self.feature_dim),
+                ("seg_len_range x max(num_prototypes, feature_dim)",
+                 segments * hi * max(self.num_prototypes, self.feature_dim))):
+            if count > np.iinfo(np.intp).max // 8:
+                raise ConfigError(f"{names} asks for an array of {count} floats, "
+                                  "more than NumPy can hold")
         total = sum(self.split_fractions)
         # NaN fails every comparison, so the check asks for the valid range
         if not abs(total - 1.0) <= 1e-9 or any(f < 0 for f in self.split_fractions):

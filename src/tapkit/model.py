@@ -19,6 +19,7 @@ import json
 import os
 import struct
 from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -93,33 +94,22 @@ class SPSUnit:
         yield f"{prefix}ffn.b2", self.ffn_b2
 
 
-def _uniform_init(rng: np.random.Generator, rows: int, cols: int) -> la.Node:
-    s = 1.0 / np.sqrt(rows)
-    return la.Node(rng.uniform(-s, s, size=(rows, cols)))
+def _unit_shapes(c: ModelConfig) -> list[tuple[int, int, int]]:
+    """``(rows, cols, fan_in)`` of one unit's weights in ``named_parameters``
+    order; a fan-in of 0 marks a zero-initialised bias."""
+    head = [(c.feature_dim, c.attn_dim, c.feature_dim),
+            (c.pattern_dim, c.attn_dim, c.pattern_dim),
+            (c.pattern_dim, c.value_dim, c.pattern_dim)]
+    return [(c.num_patterns, c.pattern_dim, c.pattern_dim), *head * NUM_HEADS,
+            (NUM_HEADS * c.value_dim, c.feature_dim, NUM_HEADS * c.value_dim),
+            (1, c.feature_dim, 0),
+            (c.feature_dim, c.hidden_dim, c.feature_dim), (1, c.hidden_dim, 0),
+            (c.hidden_dim, c.feature_dim, c.hidden_dim), (1, c.feature_dim, 0)]
 
 
-def _init_unit(rng: np.random.Generator, cfg: ModelConfig) -> SPSUnit:
-    miner = la.Node(
-        rng.uniform(-1.0 / np.sqrt(cfg.pattern_dim), 1.0 / np.sqrt(cfg.pattern_dim),
-                    size=(cfg.num_patterns, cfg.pattern_dim)))
-    heads = [
-        AttentionHead(
-            w_q=_uniform_init(rng, cfg.feature_dim, cfg.attn_dim),
-            w_k=_uniform_init(rng, cfg.pattern_dim, cfg.attn_dim),
-            w_v=_uniform_init(rng, cfg.pattern_dim, cfg.value_dim),
-        )
-        for _ in range(NUM_HEADS)
-    ]
-    return SPSUnit(
-        miner=miner,
-        heads=heads,
-        merge_w=_uniform_init(rng, NUM_HEADS * cfg.value_dim, cfg.feature_dim),
-        merge_b=la.Node(np.zeros((1, cfg.feature_dim))),
-        ffn_w1=_uniform_init(rng, cfg.feature_dim, cfg.hidden_dim),
-        ffn_b1=la.Node(np.zeros((1, cfg.hidden_dim))),
-        ffn_w2=_uniform_init(rng, cfg.hidden_dim, cfg.feature_dim),
-        ffn_b2=la.Node(np.zeros((1, cfg.feature_dim))),
-    )
+def _parameter_shapes(c: ModelConfig) -> list[tuple[int, int, int]]:
+    """:func:`_unit_shapes` for every unit, then the classifier's."""
+    return _unit_shapes(c) * c.num_units + [(c.feature_dim, c.num_classes, c.feature_dim)]
 
 
 class TransParserModel:
@@ -149,11 +139,23 @@ class TransParserModel:
     def initialize(cls, config: ModelConfig, seed: int,
                    labels: Sequence[str] | None = None) -> "TransParserModel":
         """Fresh model with uniform(-1/sqrt(fan_in), +) weights, zero biases."""
-        config.validate()
         rng = np.random.default_rng(seed)
-        units = [_init_unit(rng, config) for _ in range(config.num_units)]
-        classifier = _uniform_init(rng, config.feature_dim, config.num_classes)
-        return cls(config, units, classifier, labels)
+        return cls._assemble(config, (
+            rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), (rows, cols))
+            if fan_in else np.zeros((rows, cols))
+            for rows, cols, fan_in in _parameter_shapes(config)), labels)
+
+    @classmethod
+    def _assemble(cls, config: ModelConfig, values: Iterable[np.ndarray],
+                  labels: Sequence[str] | None) -> "TransParserModel":
+        """Model from its weight arrays in ``named_parameters`` order, drawn
+        from ``values`` only once ``config`` is valid."""
+        config.validate()
+        nodes = map(la.Node, values)
+        units = [SPSUnit(next(nodes), [AttentionHead(*islice(nodes, 3))
+                                       for _ in range(NUM_HEADS)], *islice(nodes, 6))
+                 for _ in range(config.num_units)]
+        return cls(config, units, next(nodes), labels)
 
     def named_parameters(self) -> Iterator[tuple[str, la.Node]]:
         for i, unit in enumerate(self.units):
@@ -226,7 +228,9 @@ class TransParserModel:
             if needed > size - fh.tell():
                 raise FormatError(f"checkpoint dimensions need {needed} bytes of weights, "
                                   f"the file has {size - fh.tell()} left")
-            model = cls.initialize(config, seed=0, labels=labels)
+            # allocated, not drawn: every value is overwritten from the file
+            model = cls._assemble(config, (np.empty((rows, cols)) for rows, cols, _
+                                           in _parameter_shapes(config)), labels)
             expected = list(model.named_parameters())
             (count,) = struct.unpack("<I", _read_exact(fh, 4))
             if count != len(expected):
@@ -253,10 +257,7 @@ class TransParserModel:
 
 def _weight_count(c: ModelConfig) -> int:
     """Number of float64 weights a model with config ``c`` holds."""
-    head = c.feature_dim * c.attn_dim + c.pattern_dim * (c.attn_dim + c.value_dim)
-    unit = (c.num_patterns * c.pattern_dim + NUM_HEADS * head
-            + (NUM_HEADS * c.value_dim + 2) * c.feature_dim
-            + (2 * c.feature_dim + 1) * c.hidden_dim)
+    unit = sum(rows * cols for rows, cols, _ in _unit_shapes(c))
     return c.num_units * unit + c.feature_dim * c.num_classes
 
 

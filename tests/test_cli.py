@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -27,11 +28,13 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def assert_one_error_line(code, capsys):
-    """Exit 4 with a single ``error:`` line on stderr, so no traceback."""
+def assert_one_error_line(code, capsys, expected=4):
+    """Exit ``expected`` with a single ``error:`` line on stderr, so no
+    traceback and no warning."""
     err = capsys.readouterr().err
-    assert code == 4, err
+    assert code == expected, err
     assert err.startswith("error:") and err.count("\n") == 1, err
+    return err
 
 
 @pytest.fixture()
@@ -403,6 +406,142 @@ class TestCleanFailures:
     def test_compare_sampling_without_segments(self, tiny_data, capsys, segments):
         code = run(["compare-sampling", "--data", tiny_data, "--segments", segments])
         assert_one_error_line(code, capsys)
+
+    @pytest.mark.parametrize("overrides, fields", [
+        ({"noise_sigma": 10**400}, "noise_sigma"),
+        ({"num_prototypes": 10**11, "feature_dim": 10**11}, "num_prototypes x feature_dim"),
+        ({"seg_len_range": [4, 10**20]}, "seg_len_range"),
+    ], ids=["sigma-beyond-float", "prototypes-too-big", "segments-too-long"])
+    def test_synth_magnitude_beyond_numpy_exits_4(self, tmp_path, capsys, overrides,
+                                                  fields):
+        # every size here overflows intp, so nothing is allocated
+        code = run(["synth", "--config", write_config(tmp_path, **overrides),
+                    "--out", tmp_path / "d"])
+        assert fields in assert_one_error_line(code, capsys)
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.filterwarnings("error")  # pytest would hide a printed warning
+    def test_overflowing_synth_noise_prints_one_line(self, tmp_path, capsys):
+        code = run(["synth", "--config", write_config(tmp_path, noise_sigma=1e308),
+                    "--out", tmp_path / "d"])
+        assert_one_error_line(code, capsys)
+
+    @pytest.mark.filterwarnings("error")  # pytest would hide a printed warning
+    def test_diverging_train_prints_one_line(self, tmp_path, capsys):
+        # the easy corpus at data seed 1 overflows at instance 36 without a clip
+        config = tmp_path / "easy.json"
+        config.write_text(json.dumps({
+            "num_prototypes": 4, "feature_dim": 64, "num_actions": 4,
+            "instances_per_action": 40, "seg_len_range": [8, 20],
+            "transition_width": 2, "noise_sigma": 0.1, "seed": 1}))
+        assert run(["synth", "--config", config, "--out", tmp_path / "d"]) == 0
+        capsys.readouterr()
+        code = run(["train", "--data", tmp_path / "d", "--model-out", tmp_path / "m.tpsr",
+                    "--epochs", "1", "--grad-clip", "0", "--lr", "0.02", "--seed", "0"])
+        err = assert_one_error_line(code, capsys, expected=5)
+        assert "non-finite loss at epoch 0, instance 36" in err
+
+    def test_user_warnings_still_print(self, tiny_data):
+        ann = tiny_data / "annotations.jsonl"
+        lines = ann.read_text().splitlines()
+        first = json.loads(lines[0])
+        first["boundaries"] = [5, 2]
+        ann.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n")
+        # NumPy's floating-point warnings are off in a command, Python's are not
+        with pytest.warns(UserWarning, match="boundaries out of order, sorting"):
+            assert run(["stats", "--data", tiny_data]) == 0
+
+
+COMMAND_HELP = {
+    "synth": "generate a synthetic dataset",
+    "train": "train the parser on the train split",
+    "parse": "predict sub-action starts with a checkpoint",
+    "eval": "score a prediction file against ground truth",
+    "baseline": "run a parsing baseline",
+    "stats": "dataset statistics",
+    "ablate": "unit-count x local-loss ablation table",
+    "compare-sampling": "uniform vs aligned (vs predicted) linear-probe accuracy",
+    "patterns": "frames with the highest response for one pattern",
+}
+CHOICES = "{" + ",".join(COMMAND_HELP) + "}"
+MODEL_DIMS = {"--sps-units", "--patterns", "--pattern-dim", "--attn-dim", "--value-dim",
+              "--hidden-dim"}
+OPTIMIZER = {"--epochs", "--lr", "--momentum", "--grad-clip", "--batch-size", "--lambda"}
+COMMAND_OPTIONS = {
+    "synth": {"--config", "--out", "--seed"},
+    "train": {"--data", "--model-out", "--log", "--no-local-loss", "--seed",
+              *MODEL_DIMS, *OPTIMIZER},
+    "parse": {"--data", "--model", "--out", "--smooth-window", "--split", "--seed"},
+    "eval": {"--pred", "--gt", "--mode", "--macro", "--out", "--rel-thresholds",
+             "--abs-thresholds"},
+    "baseline": set(),
+    "baseline kmeans": {"--data", "--k", "--out", "--split", "--seed"},
+    "baseline tcn": {"--data", "--out", "--split", "--kernel-size", "--hidden-channels",
+                     "--neighbor-radius", "--pos-weight", "--threshold", "--nms-radius",
+                     "--epochs", "--lr", "--momentum", "--seed"},
+    "stats": {"--data"},
+    "ablate": {"--data", "--out", "--seed", *MODEL_DIMS, *OPTIMIZER},
+    "compare-sampling": {"--data", "--pred", "--segments", "--out", "--seed"},
+    "patterns": {"--data", "--model", "--pattern", "--top", "--split", "--seed"},
+}
+
+
+class TestHelpAndUsage:
+    """The parser is built for the invoked command only; every help text and
+    usage error still shows the whole command surface."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @staticmethod
+    def exit_of(args, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        return excinfo.value.code, capsys.readouterr()
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        code, captured = self.exit_of(["--help"], capsys)
+        assert code == 0
+        text = " ".join(captured.out.split())  # undo argparse's line wrapping
+        assert CHOICES in text
+        for name, help_text in COMMAND_HELP.items():
+            assert f" {name} {help_text}" in text
+
+    @pytest.mark.parametrize("command", COMMAND_OPTIONS)
+    def test_command_help_lists_exactly_its_options(self, capsys, command):
+        code, captured = self.exit_of([*command.split(), "--help"], capsys)
+        assert code == 0
+        assert captured.out.startswith(f"usage: tapkit {command} [-h]")
+        options = set(re.findall(r"--[a-z][a-z-]*", captured.out))
+        assert options == COMMAND_OPTIONS[command] | {"--help"}
+
+    def test_baseline_help_lists_its_methods(self, capsys):
+        text = " ".join(self.exit_of(["baseline", "--help"], capsys)[1].out.split())
+        assert "kmeans cluster-transition parsing" in text
+        assert "tcn temporal-convolution boundary detector" in text
+
+    @pytest.mark.parametrize("args", [[], ["frob"], ["--frobnicate"],
+                                      ["synth", "--out", "d", "--frobnicate"]],
+                             ids=["no-command", "unknown-command", "unknown-flag",
+                                  "unknown-command-flag"])
+    def test_bad_command_line_shows_every_command(self, capsys, args):
+        code, captured = self.exit_of(args, capsys)
+        assert code == 2
+        assert CHOICES in captured.err
+        assert captured.err.count("tapkit: error:") == 1
+
+    @pytest.mark.parametrize("args, message", [
+        (["eval"], "tapkit eval: error: the following arguments are required: --pred"),
+        (["baseline", "kmeans"],
+         "tapkit baseline kmeans: error: the following arguments are required: --out"),
+        (["eval", "--pred", "p.jsonl", "--mode", "bogus"],
+         "tapkit eval: error: argument --mode: invalid choice: 'bogus'"),
+    ], ids=["eval-without-pred", "kmeans-without-out", "bad-mode"])
+    def test_bad_option_is_named(self, capsys, args, message):
+        code, captured = self.exit_of(args, capsys)
+        assert code == 2
+        assert message in captured.err
 
 
 class TestUsageErrors:

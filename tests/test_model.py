@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 from dataclasses import fields, replace
@@ -519,6 +520,34 @@ class TestCheckpoint:
             TransParserModel.load(path)
 
 
+    def test_round_trip_is_bytes_equal_over_random_configs(self, tmp_path):
+        rng = np.random.default_rng(25)
+        for case in range(9):
+            cfg = random_config(rng, num_units=case % 3 + 1)
+            labels = [f"a{i}" for i in range(cfg.num_classes)] if case % 2 else None
+            model = TransParserModel.initialize(cfg, seed=case, labels=labels)
+            first, second = tmp_path / "a.tpsr", tmp_path / "b.tpsr"
+            model.save(first)
+            loaded = TransParserModel.load(first)
+            assert loaded.config == cfg
+            assert loaded.labels == model.labels
+            assert ([(n, p.value.tobytes()) for n, p in loaded.named_parameters()]
+                    == [(n, p.value.tobytes()) for n, p in model.named_parameters()])
+            for node in loaded.parameters():  # training updates them in place
+                assert node.value.flags.writeable and node.value.flags.c_contiguous
+            loaded.save(second)
+            assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "7fe050d14932452846bc141d548a68e85baf4300a92559adf9127b100a11078e"),
+        (1, "f0d4c8d18fa6b2a175bd89eb44c564b4aa2118255e8df9b06892e340a08a1e32"),
+    ])
+    def test_initialize_draws_the_pinned_weights(self, seed, digest):
+        # the CLI's default dims; a change to the draw order changes every run
+        model = TransParserModel.initialize(ModelConfig(), seed=seed)
+        weights = b"".join(node.value.tobytes() for node in model.parameters())
+        assert hashlib.sha256(weights).hexdigest() == digest
+
     def test_weight_count_matches_initialized_model(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
@@ -535,10 +564,11 @@ class TestCheckpoint:
         TransParserModel.initialize(SMALL, seed=23).save(path)
         rewrite_header(path, **dims)
 
-        def no_init(*args, **kwargs):
+        def no_alloc(*args, **kwargs):
             raise AssertionError("weights allocated for an unchecked header")
 
-        monkeypatch.setattr(TransParserModel, "initialize", no_init)
+        # load allocates every weight array in one place, before any is read
+        monkeypatch.setattr(TransParserModel, "_assemble", no_alloc)
         with pytest.raises(FormatError, match="bytes of weights"):
             TransParserModel.load(path)
 

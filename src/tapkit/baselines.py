@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg as la
 from .errors import ConfigError, InputError, NumericError
-from .parsing import ParseResult, starts_from_labels
+from .parsing import starts_from_labels
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +66,9 @@ def kmeans(features, k: int, seed: int, max_iter: int = 100,
     return labels, centroids
 
 
-def kmeans_parse(features, k: int, seed: int, instance_id: str = "") -> ParseResult:
-    """Boundaries at cluster transitions of the per-frame k-means labels."""
-    labels, _ = kmeans(features, k, seed)
-    return ParseResult(instance_id=instance_id,
-                       starts=starts_from_labels(labels),
-                       representatives=tuple(int(c) for c in labels))
+def kmeans_parse(features, k: int, seed: int) -> tuple[int, ...]:
+    """Starts at cluster transitions of the per-frame k-means labels."""
+    return starts_from_labels(kmeans(features, k, seed)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +262,7 @@ def tcn_train(dataset, cfg: TCNTrainConfig) -> TCNModel:
 
 
 def tcn_parse(features, model: TCNModel, threshold: float = 0.5,
-              nms_radius: int = 5, instance_id: str = "") -> ParseResult:
+              nms_radius: int = 5) -> tuple[int, ...]:
     """Threshold the per-frame scores, then keep local maxima.
 
     Candidates are frames (never frame 0) with score strictly above the
@@ -285,6 +282,4 @@ def tcn_parse(features, model: TCNModel, threshold: float = 0.5,
             if all(abs(t - other) > nms_radius for other in kept):
                 kept.append(t)
         candidates = sorted(kept)
-    representatives = (scores > threshold).astype(int)
-    return ParseResult(instance_id=instance_id, starts=tuple(candidates),
-                       representatives=tuple(int(r) for r in representatives))
+    return tuple(candidates)

@@ -54,14 +54,6 @@ def _label_vocabulary(records):
     return sorted({r.label for r in records})
 
 
-def _write_predictions(results, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for result in results:
-            fh.write(json.dumps({"id": result.instance_id,
-                                 "starts": list(result.starts)},
-                                sort_keys=True) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -129,13 +121,11 @@ def cmd_train(args) -> int:
 def cmd_parse(args) -> int:
     pairs = _load_split(args, args.split if args.split != "all" else None)
     model = TransParserModel.load(args.model)
-    results = []
-    for record, feats in pairs:
-        trace = forward(feats, model, instance_id=record.instance_id)
-        results.append(extract_boundaries(trace.response, args.smooth_window,
-                                          instance_id=record.instance_id))
-    _write_predictions(results, args.out)
-    print(f"parsed {len(results)} instances")
+    predictions = [(record.instance_id,
+                    extract_boundaries(forward(feats, model).response, args.smooth_window))
+                   for record, feats in pairs]
+    data_mod.save_predictions(predictions, args.out)
+    print(f"parsed {len(predictions)} instances")
     return EXIT_OK
 
 
@@ -163,10 +153,10 @@ def cmd_eval(args) -> int:
 
 def cmd_baseline_kmeans(args) -> int:
     pairs = _load_split(args, args.split if args.split != "all" else None)
-    results = [kmeans_parse(feats, args.k, args.seed, instance_id=record.instance_id)
-               for record, feats in pairs]
-    _write_predictions(results, args.out)
-    print(f"kmeans (k={args.k}) parsed {len(results)} instances")
+    predictions = [(record.instance_id, kmeans_parse(feats, args.k, args.seed))
+                   for record, feats in pairs]
+    data_mod.save_predictions(predictions, args.out)
+    print(f"kmeans (k={args.k}) parsed {len(predictions)} instances")
     return EXIT_OK
 
 
@@ -184,11 +174,11 @@ def cmd_baseline_tcn(args) -> int:
     model = tcn_train([(feats, record.boundaries) for record, feats in train_pairs],
                       cfg)
     eval_pairs = _load_split(args, args.split if args.split != "all" else None)
-    results = [tcn_parse(feats, model, cfg.threshold, args.nms_radius,
-                         instance_id=record.instance_id)
-               for record, feats in eval_pairs]
-    _write_predictions(results, args.out)
-    print(f"tcn parsed {len(results)} instances")
+    predictions = [(record.instance_id,
+                    tcn_parse(feats, model, cfg.threshold, args.nms_radius))
+                   for record, feats in eval_pairs]
+    data_mod.save_predictions(predictions, args.out)
+    print(f"tcn parsed {len(predictions)} instances")
     return EXIT_OK
 
 
@@ -258,9 +248,9 @@ def cmd_compare_sampling(args) -> int:
 def cmd_patterns(args) -> int:
     pairs = _load_split(args, args.split if args.split != "all" else None)
     model = TransParserModel.load(args.model)
-    traces = [forward(feats, model, instance_id=record.instance_id)
-              for record, feats in pairs]
-    top = retrieve_top_frames(traces, args.pattern, args.top)
+    responses = [(record.instance_id, forward(feats, model).response)
+                 for record, feats in pairs]
+    top = retrieve_top_frames(responses, args.pattern, args.top)
     for instance_id, frame, score in top:
         print(f"{instance_id}\tframe {frame}\tscore {score:.6f}")
     return EXIT_OK

@@ -161,6 +161,15 @@ def load_predictions(path, records: Sequence[AnnotationRecord]) -> dict[str, tup
     return preds
 
 
+def save_predictions(predictions: Iterable[tuple[str, Sequence[int]]], path) -> None:
+    """Write ``(instance_id, starts)`` pairs as the JSONL that
+    :func:`load_predictions` reads, one line per pair in the given order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for instance_id, starts in predictions:
+            fh.write(json.dumps({"id": instance_id, "starts": list(starts)},
+                                sort_keys=True) + "\n")
+
+
 def save_annotations(records: Iterable[AnnotationRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
@@ -376,6 +385,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[np.ndarray], list[Annotat
         orders = [_sample_order(rng, cfg.num_prototypes) for _ in range(cfg.num_actions)]
     lo, hi = cfg.seg_len_range
     w = cfg.transition_width
+    blend = np.arange(1.0, w + 1.0) / (w + 1.0)  # incoming weight across a fade
     features: list[np.ndarray] = []
     records: list[AnnotationRecord] = []
     for action_index, order in enumerate(orders):
@@ -390,24 +400,13 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[np.ndarray], list[Annotat
                 weights[cursor:cursor + seg_len, proto] = 1.0
                 cursor += seg_len
             junctions = np.cumsum(lengths)[:-1]
-            boundaries = []
-            for j_index, junction in enumerate(junctions):
-                prev_proto = order[j_index]
-                next_proto = order[j_index + 1]
-                window_start = junction - w // 2
-                for off in range(w):
-                    t = window_start + off
-                    blend = (off + 1.0) / (w + 1.0)
-                    weights[t, :] = 0.0
-                    weights[t, prev_proto] = 1.0 - blend
-                    weights[t, next_proto] = blend
-                # ground truth: first frame whose incoming weight exceeds 1/2
-                boundary = int(window_start + w)
-                for off in range(w):
-                    if (off + 1.0) / (w + 1.0) > 0.5:
-                        boundary = int(window_start + off)
-                        break
-                boundaries.append(boundary)
+            for junction, prev_proto, next_proto in zip(junctions, order, order[1:]):
+                rows = np.arange(junction - w // 2, junction - w // 2 + w)
+                weights[rows] = 0.0
+                weights[rows, prev_proto] = 1.0 - blend
+                weights[rows, next_proto] = blend
+            # ground truth: the first frame whose incoming weight exceeds 1/2
+            boundaries = [int(junction) + w % 2 for junction in junctions]
             frames = weights @ prototypes
             if cfg.noise_sigma > 0:
                 frames = frames + cfg.noise_sigma * rng.normal(size=frames.shape)

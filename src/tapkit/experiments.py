@@ -116,7 +116,6 @@ class SamplingReport:
     num_segments: int
     top1_accuracy: float
     avg_class_accuracy: float
-    per_class_accuracy: dict[str, float]
 
 
 def sampling_classifier(records: Sequence[AnnotationRecord],
@@ -172,8 +171,7 @@ def sampling_classifier(records: Sequence[AnnotationRecord],
             per_class[lab] = float((predicted[mask] == idx).mean())
     avg = float(np.mean(list(per_class.values())))
     return SamplingReport(scheme=scheme, num_segments=num_segments,
-                          top1_accuracy=top1, avg_class_accuracy=avg,
-                          per_class_accuracy=per_class)
+                          top1_accuracy=top1, avg_class_accuracy=avg)
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +215,9 @@ def run_ablation(train_data, eval_data, model_config: ModelConfig,
                                 w_local=loss_config.w_local if use_local else 0.0)
         model = TransParserModel.initialize(cell_model_cfg, seed=loss_config.seed)
         train(train_data, model, cell_loss_cfg)
-        triples = []
-        for features, gt_starts, length in eval_data:
-            trace = forward(features, model)
-            parsed = extract_boundaries(trace.response)
-            triples.append((parsed.starts, tuple(gt_starts), length))
+        triples = [(extract_boundaries(forward(features, model).response),
+                    tuple(gt_starts), length)
+                   for features, gt_starts, length in eval_data]
         report: MetricReport = sweep(triples)
         recall, precision, f1 = report.averages("abs")
         rows.append(AblationRow(num_units=int(num_units), local_loss=bool(use_local),

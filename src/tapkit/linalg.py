@@ -405,15 +405,6 @@ def row_norms(a) -> Node:
     return Node(r, (a,), push)
 
 
-def sum_all(a) -> Node:
-    a = as_node(a)
-
-    def push(g):
-        return (np.full_like(a.value, g[0, 0]),)
-
-    return Node([[a.value.sum()]], (a,), push)
-
-
 def mean_all(a) -> Node:
     a = as_node(a)
     size = a.value.size

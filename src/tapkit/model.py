@@ -285,7 +285,6 @@ class GraphTrace:
 class ForwardTrace:
     """Inference-side view of the forward pass: one response per unit."""
 
-    instance_id: str
     responses: list[np.ndarray]
 
     @property
@@ -434,7 +433,7 @@ def forward_graph(features, model: TransParserModel) -> GraphTrace:
     return GraphTrace(responses=responses, features=outs, logits=logits)
 
 
-def forward(features, model: TransParserModel, instance_id: str = "") -> ForwardTrace:
+def forward(features, model: TransParserModel) -> ForwardTrace:
     """Inference forward pass up to the last unit's attention response.
 
     The last unit runs only its attention half: its merge fc, its FFN and
@@ -454,26 +453,27 @@ def forward(features, model: TransParserModel, instance_id: str = "") -> Forward
     for arr in (*responses, *outs):
         if not np.isfinite(arr).all():
             raise NumericError("forward pass produced non-finite values")
-    return ForwardTrace(instance_id=instance_id, responses=responses)
+    return ForwardTrace(responses=responses)
 
 
-def retrieve_top_frames(traces: Iterable[ForwardTrace], pattern_index: int,
+def retrieve_top_frames(responses: Iterable[tuple[str, np.ndarray]], pattern_index: int,
                         top_n: int) -> list[tuple[str, int, float]]:
-    """Frames with the highest last-unit response for one pattern.
+    """Frames with the highest response for one pattern.
 
+    ``responses`` holds ``(instance_id, response)`` pairs, each response a
+    frames x patterns matrix such as :attr:`ForwardTrace.response`.
     Returns up to ``top_n`` ``(instance_id, frame, score)`` triples sorted by
     score descending, ties broken by instance id then frame index ascending.
     """
     if top_n < 0:
         raise InputError(f"top_n must be >= 0, got {top_n}")
     items: list[tuple[float, str, int]] = []
-    for trace in traces:
-        resp = trace.response
+    for instance_id, resp in responses:
         if not 0 <= pattern_index < resp.shape[1]:
             raise InputError(
                 f"pattern index {pattern_index} out of range for {resp.shape[1]} patterns")
         col = resp[:, pattern_index]
         for t in range(resp.shape[0]):
-            items.append((-col[t], trace.instance_id, t))
+            items.append((-col[t], instance_id, t))
     items.sort()
     return [(iid, t, -neg) for neg, iid, t in items[:top_n]]

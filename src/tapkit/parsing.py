@@ -8,24 +8,9 @@ reported as a detected boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
-
-
-@dataclass(frozen=True)
-class ParseResult:
-    """Predicted sub-action starts plus the per-frame representatives."""
-
-    instance_id: str
-    starts: tuple[int, ...]
-    representatives: tuple[int, ...]
-
-    @property
-    def num_segments(self) -> int:
-        return len(self.starts) + 1
 
 
 def representatives_of(responses) -> np.ndarray:
@@ -76,8 +61,7 @@ def starts_from_labels(labels) -> tuple[int, ...]:
     return tuple(int(t) for t in changed)
 
 
-def extract_boundaries(responses, smoothing_window: int | None = None,
-                       instance_id: str = "") -> ParseResult:
+def extract_boundaries(responses, smoothing_window: int | None = None) -> tuple[int, ...]:
     """Read predicted sub-action starts off a response matrix.
 
     Smoothing, when requested, majority-filters the representative sequence
@@ -87,6 +71,4 @@ def extract_boundaries(responses, smoothing_window: int | None = None,
     reps = representatives_of(responses)
     if smoothing_window is not None:
         reps = smooth_labels(reps, smoothing_window)
-    return ParseResult(instance_id=instance_id,
-                       starts=starts_from_labels(reps),
-                       representatives=tuple(int(r) for r in reps))
+    return starts_from_labels(reps)

@@ -168,10 +168,9 @@ def test_criterion_4_noiseless_kmeans_recovery():
     features, records, _ = generate_synthetic(cfg)
     thresholds = [1.0, 2.0] + [float(d) for d in range(5, 55, 5)]
     for feats, record in zip(features, records):
-        parsed = kmeans_parse(feats, k=4, seed=0,
-                              instance_id=record.instance_id)
+        starts = kmeans_parse(feats, k=4, seed=0)
         for d in thresholds:
-            scores = recall_prec_f1(parsed.starts, record.boundaries, d)
+            scores = recall_prec_f1(starts, record.boundaries, d)
             assert scores == (1.0, 1.0, 1.0), (
                 f"{record.instance_id} at d={d}: {scores}")
     announce(4, f"k-means (k=4) recovers all boundaries of "
@@ -348,9 +347,9 @@ def test_criterion_9_invariant_suites():
     # parsing depends only on per-row argmax
     for _ in range(20):
         resp = rng.uniform(0.05, 1.0, size=(15, 5))
-        assert (extract_boundaries(resp).starts
-                == extract_boundaries(np.exp(3 * resp)).starts
-                == extract_boundaries(resp ** 5).starts)
+        assert (extract_boundaries(resp)
+                == extract_boundaries(np.exp(3 * resp))
+                == extract_boundaries(resp ** 5))
 
     # local loss is a function of the segment partition only (mirror test)
     cfg = LossConfig()

@@ -22,13 +22,11 @@ class TestKmeans:
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=4) + 50, rng.normal(size=4) - 50
         features = np.array([a, a, a, b, b, b])
-        result = kmeans_parse(features, k=2, seed=0)
-        assert result.starts == (3,)
+        assert kmeans_parse(features, k=2, seed=0) == (3,)
 
     def test_k_one_never_yields_boundaries(self):
         rng = np.random.default_rng(1)
-        result = kmeans_parse(rng.normal(size=(12, 3)), k=1, seed=0)
-        assert result.starts == ()
+        assert kmeans_parse(rng.normal(size=(12, 3)), k=1, seed=0) == ()
 
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(InputError):
@@ -51,9 +49,7 @@ class TestKmeans:
         rng = np.random.default_rng(3)
         features = rng.normal(size=(25, 4))
         labels, _ = kmeans(features, k=3, seed=5)
-        result = kmeans_parse(features, k=3, seed=5)
-        assert result.starts == starts_from_labels(labels)
-        assert result.representatives == tuple(labels.tolist())
+        assert kmeans_parse(features, k=3, seed=5) == starts_from_labels(labels)
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(4)
@@ -325,25 +321,24 @@ class FixedScoreModel:
 class TestTcnParse:
     def test_all_below_threshold(self):
         model = FixedScoreModel([0.1, 0.2, 0.3])
-        assert tcn_parse(None, model, threshold=0.5).starts == ()
+        assert tcn_parse(None, model, threshold=0.5) == ()
 
     def test_single_spike(self):
         model = FixedScoreModel([0.1, 0.9, 0.1])
         for radius in (0, 1, 5):
-            assert tcn_parse(None, model, threshold=0.5,
-                             nms_radius=radius).starts == (1,)
+            assert tcn_parse(None, model, threshold=0.5, nms_radius=radius) == (1,)
 
     def test_plateau_keeps_earlier_frame(self):
         model = FixedScoreModel([0.1, 0.8, 0.8, 0.1])
-        assert tcn_parse(None, model, threshold=0.5, nms_radius=1).starts == (1,)
+        assert tcn_parse(None, model, threshold=0.5, nms_radius=1) == (1,)
 
     def test_radius_zero_keeps_the_whole_run(self):
         model = FixedScoreModel([0.1, 0.8, 0.8, 0.1])
-        assert tcn_parse(None, model, threshold=0.5, nms_radius=0).starts == (1, 2)
+        assert tcn_parse(None, model, threshold=0.5, nms_radius=0) == (1, 2)
 
     def test_frame_zero_never_predicted(self):
         model = FixedScoreModel([0.9, 0.1, 0.1])
-        assert tcn_parse(None, model, threshold=0.5).starts == ()
+        assert tcn_parse(None, model, threshold=0.5) == ()
 
     def test_invariant_under_level_set_preserving_transform(self):
         scores = np.array([0.1, 0.8, 0.3, 0.7, 0.2, 0.9, 0.1])
@@ -351,7 +346,7 @@ class TestTcnParse:
         # affine map fixing 0.5 and order: x -> 0.5 + 0.4*(x - 0.5)
         squeezed = 0.5 + 0.4 * (scores - 0.5)
         same = tcn_parse(None, FixedScoreModel(squeezed), threshold=0.5, nms_radius=2)
-        assert base.starts == same.starts
+        assert base == same
 
     def test_threshold_validation(self):
         with pytest.raises(InputError):

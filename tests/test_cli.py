@@ -8,7 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import tapkit.cli
+from tapkit.baselines import kmeans_parse, tcn_parse, tcn_train
 from tapkit.cli import main
+from tapkit.data import load_features
+from tapkit.model import TransParserModel, forward
+from tapkit.parsing import extract_boundaries
 
 TINY_SYNTH = {
     "num_prototypes": 3, "feature_dim": 8, "num_actions": 2,
@@ -282,7 +287,6 @@ class TestPipeline:
                                                                    tmp_path, capsys):
         # the last unit's FFN overflows to inf, but parse reads only that
         # unit's attention response, which stays finite
-        from tapkit.model import TransParserModel
         path = tmp_path / "model.tpsr"
         assert run(["train", "--data", tiny_data, "--model-out", path,
                     "--patterns", "6", "--pattern-dim", "8", "--attn-dim", "4",
@@ -317,6 +321,51 @@ class TestPipeline:
         assert run(["parse", "--data", tiny_data, "--model", model,
                     "--out", tmp_path / "pred.jsonl"]) == 4
         assert "bytes of weights" in capsys.readouterr().err
+
+class TestPredictionPairing:
+    """Each prediction command writes one record per split instance, in
+    annotation order, holding the library function's starts for that
+    instance's features."""
+
+    @pytest.mark.parametrize("command", ["parse", "parse-smoothed", "kmeans", "tcn"])
+    def test_records_pair_ids_with_library_starts(self, tiny_data, tmp_path,
+                                                  monkeypatch, command):
+        # an untrained model whose representatives flicker: smoothing changes
+        # the starts of 7 of the 16 instances
+        model_path = tmp_path / "model.tpsr"
+        assert run(["train", "--data", tiny_data, "--model-out", model_path,
+                    "--patterns", "6", "--pattern-dim", "8", "--attn-dim", "4",
+                    "--value-dim", "4", "--hidden-dim", "12", "--epochs", "0",
+                    "--seed", "2"]) == 0
+        model = TransParserModel.load(model_path)
+        tcn_models = []
+
+        def kept_tcn_train(*args, **kwargs):
+            tcn_models.append(tcn_train(*args, **kwargs))
+            return tcn_models[-1]
+
+        monkeypatch.setattr(tapkit.cli, "tcn_train", kept_tcn_train)
+        pred = tmp_path / "pred.jsonl"
+        args, split, starts_of = {
+            "parse": (["parse", "--model", model_path], None,
+                      lambda f: extract_boundaries(forward(f, model).response)),
+            "parse-smoothed": (["parse", "--model", model_path, "--smooth-window", "3"], None,
+                               lambda f: extract_boundaries(forward(f, model).response, 3)),
+            "kmeans": (["baseline", "kmeans", "--k", "3", "--seed", "2"], None,
+                       lambda f: kmeans_parse(f, 3, 2)),
+            "tcn": (["baseline", "tcn", "--split", "test", "--epochs", "2"], "test",
+                    lambda f: tcn_parse(f, tcn_models[0], 0.5, 5)),
+        }[command]
+        assert run([*args, "--data", tiny_data, "--out", pred]) == 0
+        annotations = [json.loads(line) for line in
+                       (tiny_data / "annotations.jsonl").read_text().splitlines()]
+        ids = [a["id"] for a in annotations if split in (None, a["split"])]
+        expected = [{"id": i, "starts": list(starts_of(
+                        load_features(tiny_data / "features" / f"{i}.fseq")))}
+                    for i in ids]
+        assert [json.loads(line) for line in pred.read_text().splitlines()] == expected
+        assert any(record["starts"] for record in expected)
+
 
 class TestBaselineKmeans:
     def test_default_k_runs_on_default_corpus(self, tmp_path):

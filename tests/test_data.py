@@ -234,9 +234,9 @@ class TestSyntheticGenerator:
                           transition_width=0, noise_sigma=0.0, seed=3)
         features, records, _ = generate_synthetic(cfg)
         for frames, record in zip(features, records):
-            parsed = kmeans_parse(frames, k=4, seed=0, instance_id=record.instance_id)
+            starts = kmeans_parse(frames, k=4, seed=0)
             for d in (1.0, 2.0, 10.0):
-                assert recall_prec_f1(parsed.starts, record.boundaries, d) == (1, 1, 1)
+                assert recall_prec_f1(starts, record.boundaries, d) == (1, 1, 1)
 
     def test_crossfade_boundary_convention(self):
         # width 2: blend weights 1/3 then 2/3, so the boundary stays on the
@@ -264,6 +264,26 @@ class TestSyntheticGenerator:
             for record in records:
                 record.validate()
                 assert len(record.boundaries) >= 1
+
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    def test_odd_width_boundary_is_first_frame_past_half(self, width):
+        # recover each frame's prototype weights from the noiseless frames; an
+        # odd fade has a frame at exactly 1/2, which must not be the boundary
+        orders = ((0, 1, 2, 0), (2, 0, 1))
+        cfg = SynthConfig(num_prototypes=3, feature_dim=6, num_actions=2,
+                          instances_per_action=4, seg_len_range=(width + 1, width + 5),
+                          transition_width=width, noise_sigma=0.0, seed=width,
+                          action_orders=orders)
+        features, records, prototypes = generate_synthetic(cfg)
+        for frames, record in zip(features, records):
+            weights = np.linalg.lstsq(prototypes.T, frames.T, rcond=None)[0].T
+            order = orders[int(record.label.removeprefix("act"))]
+            previous = 0
+            for boundary, incoming in zip(record.boundaries, order[1:]):
+                past_half = weights[previous:, incoming] > 0.5 + 1e-9
+                assert boundary == previous + int(np.argmax(past_half))
+                assert past_half.any()
+                previous = boundary
 
     def test_segment_range_too_short_for_fade(self):
         with pytest.raises(ConfigError, match="transition width"):

@@ -134,8 +134,8 @@ class TestRunAblation:
         train_fn(train_data, model, loss_cfg)
         triples = []
         for features, gt, length in eval_data:
-            parsed = extract_boundaries(forward(features, model).response)
-            triples.append((parsed.starts, tuple(gt), length))
+            starts = extract_boundaries(forward(features, model).response)
+            triples.append((starts, tuple(gt), length))
         recall, precision, f1 = sweep(triples).averages("abs")
         assert rows[0].avg_f1 == f1
         assert rows[0].avg_recall == recall

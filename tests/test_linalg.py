@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -87,11 +89,11 @@ class TestGradCheck:
         theta = la.Node(np.array([[1.0, 2.0]]))
 
         def loss():
-            return la.sum_all(la.mul(theta, theta))
+            return la.mean_all(la.mul(theta, theta))
 
         root = loss()
         la.backward(root)
-        assert np.allclose(theta.grad, [[2.0, 4.0]], atol=1e-12)
+        assert np.allclose(theta.grad, [[1.0, 2.0]], atol=1e-12)
         assert la.grad_check(loss, [theta], eps=1e-6) < 1e-8
 
     def test_constant_loss(self):
@@ -136,11 +138,12 @@ class TestOpGradients:
     @pytest.mark.parametrize("case", [
         "matmul", "add", "add_bias", "sub", "mul", "div", "scale",
         "transpose", "relu", "sigmoid", "softmax", "hconcat", "gather",
-        "row_norms", "sum_all", "mean_all", "mean_over_rows", "nll", "bce",
+        "row_norms", "mean_all", "mean_over_rows", "nll", "bce",
         "segment_distance_ratio",
     ])
     def test_each_op(self, case):
-        rng = np.random.default_rng(hash(case) % (2**32))
+        # str hashes change between interpreter starts; crc32 does not
+        rng = np.random.default_rng(zlib.crc32(case.encode()))
         a = la.Node(rng.normal(size=(3, 4)))
         b = la.Node(rng.normal(size=(3, 4)))
         if case == "matmul":
@@ -188,9 +191,6 @@ class TestOpGradients:
             params = [a]
         elif case == "row_norms":
             fn = lambda: _glue_to_scalar(la.row_norms(a))
-            params = [a]
-        elif case == "sum_all":
-            fn = lambda: la.sum_all(a)
             params = [a]
         elif case == "mean_all":
             fn = lambda: la.mean_all(a)

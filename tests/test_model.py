@@ -9,8 +9,8 @@ import pytest
 import tapkit.linalg as la
 from tapkit.errors import (ConfigError, DimensionError, FormatError, InputError,
                            NumericError)
-from tapkit.model import (ForwardTrace, GraphTrace, ModelConfig, TransParserModel,
-                          _unit_nodes, _unit_values, _weight_count, forward, forward_graph,
+from tapkit.model import (GraphTrace, ModelConfig, TransParserModel, _unit_nodes,
+                          _unit_values, _weight_count, forward, forward_graph,
                           retrieve_top_frames)
 
 SMALL = ModelConfig(feature_dim=6, pattern_dim=5, num_patterns=3, attn_dim=4,
@@ -388,39 +388,37 @@ class TestFusedUnit:
 
 
 class TestRetrieveTopFrames:
-    def _trace(self, iid, resp):
-        resp = np.asarray(resp, dtype=float)
-        return ForwardTrace(instance_id=iid, responses=[resp])
+    def _pair(self, iid, resp):
+        return iid, np.asarray(resp, dtype=float)
 
     def test_single_trace_top1(self):
-        tr = self._trace("a", [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
-        assert retrieve_top_frames([tr], 1, 1) == [("a", 1, 0.9)]
+        pair = self._pair("a", [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
+        assert retrieve_top_frames([pair], 1, 1) == [("a", 1, 0.9)]
 
     def test_saturation_returns_all_sorted(self):
-        tr = self._trace("a", [[0.2, 0.8], [0.7, 0.3]])
-        got = retrieve_top_frames([tr], 0, 10)
+        pair = self._pair("a", [[0.2, 0.8], [0.7, 0.3]])
+        got = retrieve_top_frames([pair], 0, 10)
         assert got == [("a", 1, 0.7), ("a", 0, 0.2)]
 
     def test_ties_break_by_id_then_frame(self):
-        t1 = self._trace("b", [[0.5, 0.5], [0.5, 0.5]])
-        t2 = self._trace("a", [[0.5, 0.5]])
+        t1 = self._pair("b", [[0.5, 0.5], [0.5, 0.5]])
+        t2 = self._pair("a", [[0.5, 0.5]])
         got = retrieve_top_frames([t1, t2], 0, 3)
         assert got == [("a", 0, 0.5), ("b", 0, 0.5), ("b", 1, 0.5)]
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(10)
-        traces = [self._trace(f"i{k}", rng.uniform(size=(rng.integers(2, 6), 4)))
-                  for k in range(3)]
+        pairs = [self._pair(f"i{k}", rng.uniform(size=(rng.integers(2, 6), 4)))
+                 for k in range(3)]
         col = 2
-        pool = [(tr.instance_id, t, tr.response[t, col])
-                for tr in traces for t in range(tr.response.shape[0])]
+        pool = [(iid, t, resp[t, col]) for iid, resp in pairs for t in range(resp.shape[0])]
         pool.sort(key=lambda item: (-item[2], item[0], item[1]))
-        assert retrieve_top_frames(traces, col, 5) == pool[:5]
+        assert retrieve_top_frames(pairs, col, 5) == pool[:5]
 
     def test_pattern_index_out_of_range(self):
-        tr = self._trace("a", [[0.5, 0.5]])
+        pair = self._pair("a", [[0.5, 0.5]])
         with pytest.raises(InputError):
-            retrieve_top_frames([tr], 5, 1)
+            retrieve_top_frames([pair], 5, 1)
 
 
 class TestCheckpoint:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tapkit.errors import InputError
-from tapkit.parsing import (ParseResult, extract_boundaries, representatives_of,
-                            smooth_labels, starts_from_labels)
+from tapkit.parsing import (extract_boundaries, representatives_of, smooth_labels,
+                            starts_from_labels)
 
 
 def one_hot_rows(labels, width):
@@ -16,17 +16,16 @@ def one_hot_rows(labels, width):
 class TestExtractBoundaries:
     def test_rule_trace(self):
         resp = one_hot_rows([1, 1, 2, 2, 2, 3], 4)
-        result = extract_boundaries(resp)
-        assert result.starts == (2, 5)
-        assert result.representatives == (1, 1, 2, 2, 2, 3)
+        assert representatives_of(resp).tolist() == [1, 1, 2, 2, 2, 3]
+        assert extract_boundaries(resp) == (2, 5)
 
     def test_constant_representatives_yield_no_boundaries(self):
         resp = one_hot_rows([2, 2, 2, 2], 3)
-        assert extract_boundaries(resp).starts == ()
+        assert extract_boundaries(resp) == ()
 
     def test_alternating_without_smoothing(self):
         resp = one_hot_rows([1, 2, 1, 2], 3)
-        assert extract_boundaries(resp).starts == (1, 2, 3)
+        assert extract_boundaries(resp) == (1, 2, 3)
 
     def test_alternating_with_window_3_matches_hand_trace(self):
         # window [1,2]: tie -> keep raw first label 1
@@ -34,25 +33,17 @@ class TestExtractBoundaries:
         # window [2,1,2]: majority 2
         # window [1,2]: tie -> keep previous output 2
         resp = one_hot_rows([1, 2, 1, 2], 3)
-        result = extract_boundaries(resp, smoothing_window=3)
-        assert result.representatives == (1, 1, 2, 2)
-        assert result.starts == (2,)
-        assert len(result.starts) < 3
+        assert smooth_labels(representatives_of(resp), 3).tolist() == [1, 1, 2, 2]
+        assert extract_boundaries(resp, smoothing_window=3) == (2,)
 
     def test_argmax_tie_goes_to_lowest_index(self):
         resp = np.array([[0.5, 0.5], [0.5, 0.5]])
-        result = extract_boundaries(resp)
-        assert result.representatives == (0, 0)
-        assert result.starts == ()
+        assert representatives_of(resp).tolist() == [0, 0]
+        assert extract_boundaries(resp) == ()
 
     def test_empty_responses_rejected(self):
         with pytest.raises(InputError):
             extract_boundaries(np.zeros((0, 3)))
-
-    def test_instance_id_carried(self):
-        result = extract_boundaries(one_hot_rows([0, 1], 2), instance_id="clip7")
-        assert result.instance_id == "clip7"
-        assert result.num_segments == 2
 
 
 class TestProperties:
@@ -61,7 +52,7 @@ class TestProperties:
         for _ in range(30):
             n = int(rng.integers(1, 40))
             resp = rng.uniform(size=(n, 5))
-            assert len(extract_boundaries(resp).starts) <= n - 1
+            assert len(extract_boundaries(resp)) <= n - 1
 
     def test_invariant_under_monotone_row_transform(self):
         rng = np.random.default_rng(1)
@@ -70,20 +61,22 @@ class TestProperties:
             base = extract_boundaries(resp)
             cubed = extract_boundaries(resp ** 3)
             shifted = extract_boundaries(np.exp(2.0 * resp) + 1.0)
-            assert base.starts == cubed.starts == shifted.starts
+            assert base == cubed == shifted
 
     def test_window_one_is_identity(self):
         rng = np.random.default_rng(2)
         resp = rng.uniform(size=(15, 4))
+        reps = representatives_of(resp)
+        assert np.array_equal(smooth_labels(reps, 1), reps)
         assert extract_boundaries(resp, smoothing_window=1) == extract_boundaries(resp)
 
     def test_concatenation_unions_boundaries(self):
         rng = np.random.default_rng(3)
         a = one_hot_rows([0, 0, 1, 1], 4)
         b = one_hot_rows([2, 2, 3, 3], 4)
-        left = extract_boundaries(a).starts
-        right = extract_boundaries(b).starts
-        joined = extract_boundaries(np.vstack([a, b])).starts
+        left = extract_boundaries(a)
+        right = extract_boundaries(b)
+        joined = extract_boundaries(np.vstack([a, b]))
         # distinct representatives at the junction add exactly the junction
         assert joined == tuple(sorted(left + tuple(s + 4 for s in right) + (4,)))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, check_float_count
 from .parsing import starts_from_labels
 
 
@@ -94,11 +94,18 @@ class TCNTrainConfig:
     epochs: int = 30
     seed: int = 0
 
-    def validate(self) -> None:
+    def validate(self, feature_dim: int = 1) -> None:
+        """Check the settings for a model that reads ``feature_dim`` features."""
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ConfigError(f"kernel_size must be odd >= 1, got {self.kernel_size}")
         if self.hidden_channels < 1:
             raise ConfigError("hidden_channels must be >= 1")
+        # kernel_size taps of a feature_dim x hidden_channels and a
+        # hidden_channels x 1 weight, plus the biases: checked before the
+        # tap lists are built and before np.sqrt sees the products
+        check_float_count("kernel_size x hidden_channels x (feature_dim + 1)",
+                          self.kernel_size * self.hidden_channels * (feature_dim + 1)
+                          + self.hidden_channels + 1)
         if self.neighbor_radius < 0:
             raise ConfigError("neighbor_radius must be >= 0")
         if self.pos_weight is not None and not (math.isfinite(self.pos_weight)
@@ -235,13 +242,13 @@ def tcn_train(dataset, cfg: TCNTrainConfig) -> TCNModel:
     contains no positive frames at all, or no negative frames while
     ``pos_weight`` is left to their count ratio (which would be 0).
     """
-    cfg.validate()
     if not dataset:
         raise InputError("training dataset is empty")
+    feature_dim = np.asarray(dataset[0][0]).shape[1]
+    cfg.validate(feature_dim)
     prepared = []
     total_pos = 0.0
     total_neg = 0.0
-    feature_dim = np.asarray(dataset[0][0]).shape[1]
     for features, starts in dataset:
         arr = np.asarray(features, dtype=np.float64)
         targets = boundary_targets(arr.shape[0], starts, cfg.neighbor_radius)

@@ -11,8 +11,11 @@ Stdout carries only results (counts, losses, scores, tables) and never echoes
 a path the caller passed in; errors go to stderr.  Exit codes: 0 success,
 2 usage, 3 missing file / IO, 4 data or configuration problem, 5 numeric
 failure.
-Each call builds the argparse tree for its own command: every command keeps
-its parser and help line, but only the invoked one gets its arguments.
+Each call builds the parser of the command it names (``argv[0]``, or
+``baseline`` and its method) and no other.  The tree of every command's help
+line, with no arguments, is built only to print the top-level and group help,
+the version, and a usage error that is not one command's own, and to find
+the command after unknown options.
 """
 
 from __future__ import annotations
@@ -291,22 +294,127 @@ def _add_optimizer(p):
     p.add_argument("--lambda", dest="lambda_reg", type=float, default=1.0)
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The argparse tree for one call.  Every command gets its parser and help
-    line; only the one ``argv`` names (its first non-option item, and after
-    ``baseline`` the next) gets its arguments, which cost more to build than
-    a short command's work."""
-    words = [arg for arg in argv if not arg.startswith("-")]
+def _synth_arguments(p):
+    p.add_argument("--config", default=None, help="JSON file of generator settings")
+    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=None)
 
-    def command(parent, name, help_text, func=None, level=0):
-        """Add subparser ``name``; return it, for its arguments, only if invoked."""
-        p = parent.add_parser(name, help=help_text)
-        if words[level:level + 1] != [name]:
-            return None
-        if func is not None:
-            p.set_defaults(func=func)
-        return p
 
+def _train_arguments(p):
+    _add_data_arg(p)
+    p.add_argument("--model-out", required=True)
+    p.add_argument("--log", default=None, help="epoch log path "
+                   "(default: <model-out>.log.jsonl)")
+    p.add_argument("--no-local-loss", action="store_true")
+    _add_model_dims(p)
+    _add_optimizer(p)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _parse_arguments(p):
+    _add_data_arg(p)
+    p.add_argument("--model", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--smooth-window", type=int, default=None)
+    p.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _eval_arguments(p):
+    p.add_argument("--pred", required=True)
+    p.add_argument("--gt", default=None, help="dataset directory holding "
+                   "annotations.jsonl (default: $TAPKIT_DATA_DIR)")
+    p.add_argument("--mode", choices=["one-to-one", "independent"],
+                   default="one-to-one")
+    p.add_argument("--macro", action="store_true",
+                   help="macro-average per-instance scores instead of pooling counts")
+    p.add_argument("--out", default=None, help="CSV report path")
+    p.add_argument("--rel-thresholds", type=_threshold_list, default=REL_THRESHOLDS,
+                   help="comma list overriding the relative grid")
+    p.add_argument("--abs-thresholds", type=_threshold_list, default=ABS_THRESHOLDS,
+                   help="comma list overriding the absolute grid")
+
+
+def _kmeans_arguments(p):
+    _add_data_arg(p)
+    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--out", required=True)
+    p.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _tcn_arguments(p):
+    _add_data_arg(p)
+    p.add_argument("--out", required=True)
+    p.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
+    p.add_argument("--kernel-size", type=int, default=9)
+    p.add_argument("--hidden-channels", type=int, default=32)
+    p.add_argument("--neighbor-radius", type=int, default=2)
+    p.add_argument("--pos-weight", type=float, default=None)
+    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--nms-radius", type=int, default=5)
+    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--momentum", type=float, default=0.9)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _ablate_arguments(p):
+    _add_data_arg(p)
+    p.add_argument("--out", required=True)
+    _add_model_dims(p)
+    _add_optimizer(p)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _compare_sampling_arguments(p):
+    _add_data_arg(p)
+    p.add_argument("--pred", default=None, help="prediction JSONL for the "
+                   "'predicted' scheme")
+    p.add_argument("--segments", type=int, default=3)
+    p.add_argument("--out", default=None)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _patterns_arguments(p):
+    _add_data_arg(p)
+    p.add_argument("--model", required=True)
+    p.add_argument("--pattern", type=int, required=True)
+    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
+    p.add_argument("--seed", type=int, default=0)
+
+
+COMMANDS = {
+    ("synth",): ("generate a synthetic dataset", cmd_synth, _synth_arguments),
+    ("train",): ("train the parser on the train split", cmd_train, _train_arguments),
+    ("parse",): ("predict sub-action starts with a checkpoint", cmd_parse,
+                 _parse_arguments),
+    ("eval",): ("score a prediction file against ground truth", cmd_eval,
+                _eval_arguments),
+    ("baseline",): ("run a parsing baseline", None, None),
+    ("baseline", "kmeans"): ("cluster-transition parsing", cmd_baseline_kmeans,
+                             _kmeans_arguments),
+    ("baseline", "tcn"): ("temporal-convolution boundary detector", cmd_baseline_tcn,
+                          _tcn_arguments),
+    ("stats",): ("dataset statistics", cmd_stats, _add_data_arg),
+    ("ablate",): ("unit-count x local-loss ablation table", cmd_ablate, _ablate_arguments),
+    ("compare-sampling",): ("uniform vs aligned (vs predicted) linear-probe accuracy",
+                            cmd_compare_sampling, _compare_sampling_arguments),
+    ("patterns",): ("frames with the highest response for one pattern", cmd_patterns,
+                    _patterns_arguments),
+}
+"""Each command's words: its help line, its function and the function that
+adds its arguments.  A group (``baseline``) has neither function; its
+methods follow it."""
+
+
+def build_tree() -> argparse.ArgumentParser:
+    """The whole command surface: every command's help line, no arguments.
+
+    It prints the top-level and group help, the version, and every usage
+    error that is not one command's own, and finds a command that unknown
+    options come before."""
     parser = argparse.ArgumentParser(
         prog="tapkit",
         description="Temporal action parsing toolkit: train the pattern-bank "
@@ -316,112 +424,57 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         version=(f"tapkit {__version__} "
                  f"(feature format v{FEATURE_FORMAT_VERSION}, "
                  f"checkpoint format v{CHECKPOINT_FORMAT_VERSION})"))
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    if p := command(sub, "synth", "generate a synthetic dataset", cmd_synth):
-        p.add_argument("--config", default=None, help="JSON file of generator settings")
-        p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=None)
-
-    if p := command(sub, "train", "train the parser on the train split", cmd_train):
-        _add_data_arg(p)
-        p.add_argument("--model-out", required=True)
-        p.add_argument("--log", default=None, help="epoch log path "
-                       "(default: <model-out>.log.jsonl)")
-        p.add_argument("--no-local-loss", action="store_true")
-        _add_model_dims(p)
-        _add_optimizer(p)
-        p.add_argument("--seed", type=int, default=0)
-
-    if p := command(sub, "parse", "predict sub-action starts with a checkpoint", cmd_parse):
-        _add_data_arg(p)
-        p.add_argument("--model", required=True)
-        p.add_argument("--out", required=True)
-        p.add_argument("--smooth-window", type=int, default=None)
-        p.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
-        p.add_argument("--seed", type=int, default=0)
-
-    if p := command(sub, "eval", "score a prediction file against ground truth", cmd_eval):
-        p.add_argument("--pred", required=True)
-        p.add_argument("--gt", default=None, help="dataset directory holding "
-                       "annotations.jsonl (default: $TAPKIT_DATA_DIR)")
-        p.add_argument("--mode", choices=["one-to-one", "independent"],
-                       default="one-to-one")
-        p.add_argument("--macro", action="store_true",
-                       help="macro-average per-instance scores instead of pooling counts")
-        p.add_argument("--out", default=None, help="CSV report path")
-        p.add_argument("--rel-thresholds", type=_threshold_list, default=REL_THRESHOLDS,
-                       help="comma list overriding the relative grid")
-        p.add_argument("--abs-thresholds", type=_threshold_list, default=ABS_THRESHOLDS,
-                       help="comma list overriding the absolute grid")
-
-    if p := command(sub, "baseline", "run a parsing baseline"):
-        bsub = p.add_subparsers(dest="baseline", required=True)
-
-        if b := command(bsub, "kmeans", "cluster-transition parsing", cmd_baseline_kmeans, 1):
-            _add_data_arg(b)
-            b.add_argument("--k", type=int, default=4)
-            b.add_argument("--out", required=True)
-            b.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
-            b.add_argument("--seed", type=int, default=0)
-
-        if b := command(bsub, "tcn", "temporal-convolution boundary detector",
-                        cmd_baseline_tcn, level=1):
-            _add_data_arg(b)
-            b.add_argument("--out", required=True)
-            b.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
-            b.add_argument("--kernel-size", type=int, default=9)
-            b.add_argument("--hidden-channels", type=int, default=32)
-            b.add_argument("--neighbor-radius", type=int, default=2)
-            b.add_argument("--pos-weight", type=float, default=None)
-            b.add_argument("--threshold", type=float, default=0.5)
-            b.add_argument("--nms-radius", type=int, default=5)
-            b.add_argument("--epochs", type=int, default=30)
-            b.add_argument("--lr", type=float, default=0.05)
-            b.add_argument("--momentum", type=float, default=0.9)
-            b.add_argument("--seed", type=int, default=0)
-
-    if p := command(sub, "stats", "dataset statistics", cmd_stats):
-        _add_data_arg(p)
-
-    if p := command(sub, "ablate", "unit-count x local-loss ablation table", cmd_ablate):
-        _add_data_arg(p)
-        p.add_argument("--out", required=True)
-        _add_model_dims(p)
-        _add_optimizer(p)
-        p.add_argument("--seed", type=int, default=0)
-
-    if p := command(sub, "compare-sampling",
-                    "uniform vs aligned (vs predicted) linear-probe accuracy",
-                    cmd_compare_sampling):
-        _add_data_arg(p)
-        p.add_argument("--pred", default=None, help="prediction JSONL for the "
-                       "'predicted' scheme")
-        p.add_argument("--segments", type=int, default=3)
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=0)
-
-    if p := command(sub, "patterns", "frames with the highest response for one pattern",
-                    cmd_patterns):
-        _add_data_arg(p)
-        p.add_argument("--model", required=True)
-        p.add_argument("--pattern", type=int, required=True)
-        p.add_argument("--top", type=int, default=10)
-        p.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
-        p.add_argument("--seed", type=int, default=0)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, (help_text, func, _) in COMMANDS.items():
+        # a command's own parser answers its -h, also after an unknown option
+        p = groups[words[:-1]].add_parser(words[-1], help=help_text,
+                                          add_help=func is None)
+        if func is None:
+            groups[words] = p.add_subparsers(dest=words[-1], required=True)
     return parser
 
 
+def _split_argv(argv: list[str]) -> tuple[tuple[str, ...], list[str], list[str]]:
+    """``(words, skipped, rest)`` for an ``argv`` that does not start with a
+    command's words: the tree prints the help, the version or the usage
+    error and exits, unless unknown options only come before or between the
+    words.  Those are ``skipped``; ``rest`` is what follows the words."""
+    namespace, _ = build_tree().parse_known_args(argv)
+    words = (namespace.command,)
+    while COMMANDS[words][1] is None:  # a group: the method is in its dest
+        words += (getattr(namespace, words[-1]),)
+    skipped, position = [], 0
+    for word in words:
+        # options are the only items before a word, and none equals it
+        index = argv.index(word, position)
+        skipped += argv[position:index]
+        position = index + 1
+    return words, skipped, argv[position:]
+
+
 def main(argv=None) -> int:
-    """Run one ``tapkit`` command and return its exit code.  The parser is
-    built for that command alone; NumPy's floating-point warnings are off,
-    as every result that can go non-finite is checked and reported."""
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    """Run one ``tapkit`` command and return its exit code.
+
+    Only the command that ``argv`` names gets a parser, as building
+    them all costs more than a short command's work; NumPy's floating-point
+    warnings are off, as every result that can go non-finite is checked and
+    reported."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = tuple(argv[:1])
+    if words in COMMANDS and COMMANDS[words][1] is None:  # a group: its method follows
+        words = tuple(argv[:2])
+    skipped, rest = [], argv[len(words):]
+    if COMMANDS.get(words, (None, None))[1] is None:
+        words, skipped, rest = _split_argv(argv)
+    _, run, add_arguments = COMMANDS[words]
+    parser = argparse.ArgumentParser(prog=" ".join(("tapkit", *words)))
+    add_arguments(parser)
+    args, extras = parser.parse_known_args(rest)
+    if skipped or extras:
+        build_tree().error(f"unrecognized arguments: {' '.join(skipped + extras)}")
     try:
         with np.errstate(all="ignore"):
-            return args.func(args)
+            return run(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return EXIT_IO

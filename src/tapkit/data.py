@@ -23,7 +23,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import FEATURE_FORMAT_VERSION
-from .errors import ConfigError, FormatError, InputError, ParseError, ValidationError
+from .errors import (ConfigError, FormatError, InputError, ParseError, ValidationError,
+                     check_float_count)
 
 FEATURE_MAGIC = b"FSEQ"
 SPLITS = ("train", "val", "test")
@@ -82,6 +83,7 @@ class AnnotationRecord:
 # ---------------------------------------------------------------------------
 
 _FIELDS = ("id", "video_id", "label", "length", "boundaries", "split")
+_INT_TYPE = {int}
 
 
 def _jsonl_records(path, fields: tuple[str, ...], starts_field: str):
@@ -92,26 +94,29 @@ def _jsonl_records(path, fields: tuple[str, ...], starts_field: str):
     (``type(x) is int`` leaves out bools); anything else raises ParseError
     or ValidationError naming the line.
     """
-    # surrogateescape defers a bad byte to the line that holds it
+    required = frozenset(fields)
+    # surrogateescape defers a bad byte to the line that holds it; text mode
+    # reads \r and \r\n as \n, so the lines are those that iterating gives
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            where = f"{path}:{lineno}"
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                line.encode("utf-8")
-                obj = json.loads(line)
-            except UnicodeEncodeError:
-                raise ParseError(f"{where}: not UTF-8 text") from None
-            except (ValueError, RecursionError) as exc:
-                raise ParseError(f"{where}: malformed JSON: {exc}") from exc
-            if not isinstance(obj, dict) or any(k not in obj for k in fields):
-                raise ParseError(f"{where}: record must be an object with fields {fields}")
-            starts = obj[starts_field]
-            if not isinstance(starts, list) or not all(type(s) is int for s in starts):
-                raise ValidationError(f"{where}: {starts_field} must be a list of ints")
-            yield where, obj
+        text = fh.read()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        where = f"{path}:{lineno}"
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            line.encode("utf-8")
+            obj = json.loads(line)
+        except UnicodeEncodeError:
+            raise ParseError(f"{where}: not UTF-8 text") from None
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{where}: malformed JSON: {exc}") from exc
+        if not isinstance(obj, dict) or not obj.keys() >= required:
+            raise ParseError(f"{where}: record must be an object with fields {fields}")
+        starts = obj[starts_field]
+        if not isinstance(starts, list) or not set(map(type, starts)) <= _INT_TYPE:
+            raise ValidationError(f"{where}: {starts_field} must be a list of ints")
+        yield where, obj
 
 
 def load_annotations(path) -> list[AnnotationRecord]:
@@ -283,16 +288,13 @@ class SynthConfig:
                 if any(a == b for a, b in zip(order, order[1:])):
                     raise ConfigError("action_orders must not repeat a prototype "
                                       "consecutively (the junction would be invisible)")
-        # NumPy refuses an array whose byte size overflows intp; the largest
-        # are the prototypes and one instance's blend weights and frames
+        # the largest arrays are the prototypes and one instance's blend
+        # weights and frames
         segments = 6 if self.action_orders is None else max(map(len, self.action_orders))
-        for names, count in (
-                ("num_prototypes x feature_dim", self.num_prototypes * self.feature_dim),
-                ("seg_len_range x max(num_prototypes, feature_dim)",
-                 segments * hi * max(self.num_prototypes, self.feature_dim))):
-            if count > np.iinfo(np.intp).max // 8:
-                raise ConfigError(f"{names} asks for an array of {count} floats, "
-                                  "more than NumPy can hold")
+        check_float_count("num_prototypes x feature_dim",
+                          self.num_prototypes * self.feature_dim)
+        check_float_count("seg_len_range x max(num_prototypes, feature_dim)",
+                          segments * hi * max(self.num_prototypes, self.feature_dim))
         total = sum(self.split_fractions)
         # NaN fails every comparison, so the check asks for the valid range
         if not abs(total - 1.0) <= 1e-9 or any(f < 0 for f in self.split_fractions):

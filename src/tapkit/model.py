@@ -26,7 +26,8 @@ import numpy as np
 
 from . import CHECKPOINT_FORMAT_VERSION
 from . import linalg as la
-from .errors import ConfigError, DimensionError, FormatError, InputError, NumericError
+from .errors import (ConfigError, DimensionError, FormatError, InputError, NumericError,
+                     check_float_count)
 
 CHECKPOINT_MAGIC = b"TPSR"
 
@@ -58,6 +59,9 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.num_units < 1:
             raise ConfigError(f"num_units must be >= 1, got {self.num_units}")
+        # every weight array is part of the total; the largest field is named
+        check_float_count(max(asdict(self).items(), key=lambda item: item[1])[0],
+                          _weight_count(self))
 
 
 @dataclass
@@ -107,9 +111,13 @@ def _unit_shapes(c: ModelConfig) -> list[tuple[int, int, int]]:
             (c.hidden_dim, c.feature_dim, c.hidden_dim), (1, c.feature_dim, 0)]
 
 
-def _parameter_shapes(c: ModelConfig) -> list[tuple[int, int, int]]:
-    """:func:`_unit_shapes` for every unit, then the classifier's."""
-    return _unit_shapes(c) * c.num_units + [(c.feature_dim, c.num_classes, c.feature_dim)]
+def _parameter_shapes(c: ModelConfig) -> Iterator[tuple[int, int, int]]:
+    """:func:`_unit_shapes` for every unit, then the classifier's; lazy, so
+    that a config is validated before its unit count is iterated."""
+    unit = _unit_shapes(c)
+    for _ in range(c.num_units):
+        yield from unit
+    yield (c.feature_dim, c.num_classes, c.feature_dim)
 
 
 class TransParserModel:

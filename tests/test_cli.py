@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import tapkit.cli
+from tapkit.__main__ import BLAS_THREAD_VARIABLES
 from tapkit.baselines import kmeans_parse, tcn_parse, tcn_train
 from tapkit.cli import main
 from tapkit.data import load_features
@@ -469,6 +470,23 @@ class TestCleanFailures:
         assert fields in assert_one_error_line(code, capsys)
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("args, field", [
+        (["train", "--hidden-dim", str(2**62)], "hidden_dim"),
+        (["ablate", "--hidden-dim", str(2**62)], "hidden_dim"),
+        (["train", "--sps-units", str(2**62)], "num_units"),
+        (["baseline", "tcn", "--hidden-channels", str(2**62)], "hidden_channels"),
+        (["baseline", "tcn", "--kernel-size", str(2**64 + 1)], "kernel_size"),
+    ], ids=["train-hidden-dim", "ablate-hidden-dim", "train-units", "tcn-channels",
+            "tcn-kernel"])
+    def test_model_size_beyond_numpy_exits_4(self, tiny_data, tmp_path, capsys, args,
+                                             field):
+        # every size here overflows intp, so nothing is allocated
+        out = tmp_path / "out"
+        code = run([*args, "--data", tiny_data, "--epochs", "1",
+                    "--model-out" if args[0] == "train" else "--out", out])
+        assert field in assert_one_error_line(code, capsys)
+        assert not list(tmp_path.glob("out*"))
+
     @pytest.mark.filterwarnings("error")  # pytest would hide a printed warning
     def test_overflowing_synth_noise_prints_one_line(self, tmp_path, capsys):
         code = run(["synth", "--config", write_config(tmp_path, noise_sigma=1e308),
@@ -536,8 +554,11 @@ COMMAND_OPTIONS = {
 
 
 class TestHelpAndUsage:
-    """The parser is built for the invoked command only; every help text and
-    usage error still shows the whole command surface."""
+    """Only the invoked command gets a parser.  The tree of every command's
+    help line, with no arguments, prints the top-level and group help and
+    every usage error that is not one command's own (unknown arguments
+    included, wherever they stand), so each still shows the whole command
+    surface."""
 
     @pytest.fixture(autouse=True)
     def fixed_width(self, monkeypatch):
@@ -565,20 +586,40 @@ class TestHelpAndUsage:
         options = set(re.findall(r"--[a-z][a-z-]*", captured.out))
         assert options == COMMAND_OPTIONS[command] | {"--help"}
 
+    def test_help_after_an_unknown_option_is_the_commands(self, capsys):
+        code, captured = self.exit_of(["--frobnicate", "synth", "-h"], capsys)
+        assert code == 0
+        assert captured.out.startswith("usage: tapkit synth [-h]")
+
     def test_baseline_help_lists_its_methods(self, capsys):
         text = " ".join(self.exit_of(["baseline", "--help"], capsys)[1].out.split())
         assert "kmeans cluster-transition parsing" in text
         assert "tcn temporal-convolution boundary detector" in text
 
-    @pytest.mark.parametrize("args", [[], ["frob"], ["--frobnicate"],
-                                      ["synth", "--out", "d", "--frobnicate"]],
-                             ids=["no-command", "unknown-command", "unknown-flag",
-                                  "unknown-command-flag"])
-    def test_bad_command_line_shows_every_command(self, capsys, args):
+    @pytest.mark.parametrize("args, error", [
+        ([], "the following arguments are required: command"),
+        (["frob"], "argument command: invalid choice: 'frob' (choose from "
+                   + ", ".join(f"'{name}'" for name in COMMAND_HELP) + ")"),
+        # the missing command is reported before the unknown flag
+        (["--frobnicate"], "the following arguments are required: command"),
+        (["synth", "--out", "d", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+        (["eval", "--pred", "p", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+        (["baseline", "kmeans", "--out", "o", "--frobnicate", "3"],
+         "unrecognized arguments: --frobnicate 3"),
+        # unknown options before or between the words are named, the
+        # command's own arguments are not
+        (["--frobnicate", "eval", "--pred", "p"], "unrecognized arguments: --frobnicate"),
+        (["baseline", "--frobnicate", "kmeans", "--out", "o", "--z"],
+         "unrecognized arguments: --frobnicate --z"),
+    ], ids=["no-command", "unknown-command", "unknown-flag", "unknown-command-flag",
+            "unknown-eval-flag", "unknown-kmeans-flag", "flag-before-eval",
+            "flag-between-words"])
+    def test_bad_command_line_shows_every_command(self, capsys, args, error):
         code, captured = self.exit_of(args, capsys)
         assert code == 2
         assert CHOICES in captured.err
         assert captured.err.count("tapkit: error:") == 1
+        assert captured.err.endswith(f"tapkit: error: {error}\n")
 
     @pytest.mark.parametrize("args, message", [
         (["eval"], "tapkit eval: error: the following arguments are required: --pred"),
@@ -637,3 +678,26 @@ class TestUsageErrors:
         assert result.returncode == 0
         assert "tapkit 0.1.0" in result.stdout
         assert "checkpoint format v1" in result.stdout
+
+    @pytest.mark.parametrize("preset, expected", [
+        ({}, dict.fromkeys(BLAS_THREAD_VARIABLES, "1")),
+        ({"OMP_NUM_THREADS": "2"}, {**dict.fromkeys(BLAS_THREAD_VARIABLES),
+                                    "OMP_NUM_THREADS": "2"}),
+    ], ids=["none-set", "omp-set"])
+    def test_module_entry_point_defaults_to_one_blas_thread(self, preset, expected):
+        env = {name: value for name, value in os.environ.items()
+               if name not in BLAS_THREAD_VARIABLES}
+        env.update(preset, PYTHONPATH=os.pathsep.join(sys.path))
+        # the child runs the entry as `python -m tapkit --version` does, then
+        # prints the variables on its last line
+        script = ("import json, os, runpy, sys\n"
+                  "sys.argv = ['tapkit', '--version']\n"
+                  "try:\n"
+                  "    runpy.run_module('tapkit', run_name='__main__')\n"
+                  "except SystemExit:\n"
+                  "    pass\n"
+                  f"print(json.dumps({{n: os.environ.get(n) for n in {BLAS_THREAD_VARIABLES}}}))")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == expected

@@ -7,6 +7,10 @@ dropped or replaced by a value of the wrong JSON type.  The reader must
 accept the result or raise a ``TapkitError``; the CLI command that reads
 the file must not raise, and must exit 3 or 4 when the reader rejects it.
 Examples are derandomized so that every run checks the same inputs.
+
+The annotation and prediction readers are also compared with their earlier
+form, kept in ``jsonl_oracle``, on files with up to three edited lines: both
+must return the same records with the same warnings, or raise the same error.
 """
 
 import contextlib
@@ -27,7 +31,10 @@ from tapkit.data import (SynthConfig, generate_synthetic, load_annotations,
 from tapkit.errors import ParseError, TapkitError
 from tapkit.model import ModelConfig, TransParserModel
 
+import jsonl_oracle
+
 FUZZ = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+ORACLE = settings(FUZZ, max_examples=500)  # no CLI call: cheap examples
 
 DROP = object()
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 300),
@@ -35,6 +42,10 @@ SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 300),
 WRONG_VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4),
                          st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=2),
                          st.just(DROP))
+# lengths and start lists around the corpus' 6-30 frames: out of order,
+# repeated and out-of-range starts
+NEAR_VALUES = st.one_of(WRONG_VALUES, st.integers(-1, 31),
+                        st.lists(st.integers(-1, 31), max_size=4))
 
 # small magnitudes only, so that no accepted synth config builds a large corpus
 SMALL_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 8),
@@ -91,18 +102,23 @@ def mutate_object(data, obj, fields, values=WRONG_VALUES):
     value = data.draw(values, label="value")
     obj = dict(obj)
     if value is DROP:
-        del obj[field]
+        obj.pop(field, None)  # a second mutation may drop it again
     else:
         obj[field] = value
     return obj
 
 
+def edit_line(data, blob, edit):
+    """``blob`` with ``edit`` applied to the object on one drawn line."""
+    lines = blob.decode("utf-8").splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    lines[i] = json.dumps(edit(json.loads(lines[i])))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def mutate_jsonl(data, blob, fields, values=WRONG_VALUES):
     if data.draw(st.booleans(), label="wrong type"):
-        lines = blob.decode("utf-8").splitlines()
-        i = data.draw(st.integers(0, len(lines) - 1), label="line")
-        lines[i] = json.dumps(mutate_object(data, json.loads(lines[i]), fields, values))
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return edit_line(data, blob, lambda obj: mutate_object(data, obj, fields, values))
     return mutate_bytes(data, blob)
 
 
@@ -148,6 +164,78 @@ def test_predictions(corpus, data):
     # an empty file reads as no predictions, which eval rejects
     check(path, blob, lambda: load_predictions(path, corpus["records"]),
           ["eval", "--pred", path, "--gt", corpus["data"]], (0, 4))
+
+
+def reading(read, path):
+    """What ``read(path)`` returns or raises, with the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = ("returned", read(path))
+        except Exception as exc:  # a new exception type must show as a difference
+            outcome = ("raised", type(exc), str(exc))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+def starts_near_ends(data, obj, field, length):
+    """``obj`` with up to 4 starts drawn from around both ends of a
+    ``length``-frame instance: out of order, repeated and out-of-range."""
+    ends = [-1, 0, 1, 2, length - 2, length - 1, length, length + 1]
+    return {**obj, field: data.draw(st.lists(st.sampled_from(ends), max_size=4),
+                                    label="starts")}
+
+
+def replace_char(data, blob):
+    """``blob`` with one character, often a newline, replaced by nothing, a
+    space or a line break of another convention (text mode reads ``\r`` as
+    a newline, ``str.splitlines`` also splits at ``\x0b`` and the rest)."""
+    text = blob.decode("utf-8")
+    newlines = [i for i, char in enumerate(text) if char == "\n"]
+    at = data.draw(st.sampled_from(newlines) | st.integers(0, len(text) - 1), label="at")
+    by = data.draw(st.sampled_from(["", " ", "\r", "\r\n", "\x0b", "\x0c", "\x1c",
+                                    "\x85", "\u2028"]), label="by")
+    return (text[:at] + by + text[at + 1:]).encode("utf-8")
+
+
+def assert_reads_like_oracle(data, path, fields, length_of, read, oracle):
+    """One to three lines get new starts or a field replaced, and the file
+    may then get a byte mutation or a line break moved: the one-pass reader
+    returns and warns, or raises, exactly as the reader it replaced."""
+    blob = path.read_bytes()
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        if data.draw(st.booleans(), label="new starts"):
+            edit = lambda obj: starts_near_ends(data, obj, fields[-1], length_of(obj))  # noqa: E731
+        else:
+            edit = lambda obj: mutate_object(data, obj, fields, NEAR_VALUES)  # noqa: E731
+        blob = edit_line(data, blob, edit)
+    then = data.draw(st.sampled_from([None, mutate_bytes, replace_char]), label="then")
+    if then is not None:
+        blob = then(data, blob)
+    path = path.with_name(f"oracle_{path.name}")
+    path.write_bytes(blob)
+    assert reading(read, path) == reading(oracle, path), blob
+
+
+@ORACLE
+@given(data=st.data())
+def test_annotations_read_like_oracle(corpus, data):
+    assert_reads_like_oracle(
+        data, corpus["data"] / "annotations.jsonl",
+        ("id", "video_id", "label", "length", "split", "boundaries"),
+        lambda obj: obj["length"] if type(obj.get("length")) is int else 8,
+        load_annotations, jsonl_oracle.load_annotations)
+
+
+@ORACLE
+@given(data=st.data())
+def test_predictions_read_like_oracle(corpus, data):
+    records = corpus["records"]
+    lengths = {r.instance_id: r.length for r in records}
+    assert_reads_like_oracle(
+        data, corpus["pred"], ("id", "starts"),
+        lambda obj: lengths.get(str(obj.get("id")), 8),
+        lambda path: load_predictions(path, records),
+        lambda path: jsonl_oracle.load_predictions(path, records))
 
 
 @FUZZ

@@ -5,9 +5,9 @@ consecutive frames land in different clusters (the same transition rule the
 parser uses on its representatives).  The TCN baseline trains a two-layer
 temporal convolution to score each frame's boundary probability with a
 weighted BCE, then thresholds and peak-picks at inference.  Both layers run
-on plain arrays: training wraps them in one graph node with a hand-written
-backward and steps it with :func:`tapkit.linalg.sgd`; inference builds no
-graph.
+on plain arrays with a hand-written backward (:meth:`TCNModel._grads`).
+Training steps them with :func:`tapkit.linalg.sgd`, one straight-line step
+per instance (:func:`_step`); neither training nor inference builds a graph.
 """
 
 from __future__ import annotations
@@ -174,9 +174,10 @@ class TCNModel:
             raise InputError("empty feature sequence")
         half = self.kernel_size // 2
         taps = np.clip(np.arange(n) + np.arange(-half, half + 1)[:, None], 0, n - 1)
-        pre = arr[taps[0]] @ self.w1[0].value
-        for idx, w in zip(taps[1:], self.w1[1:]):
-            pre += arr[idx] @ w.value
+        inputs = [arr[idx] for idx in taps]
+        pre = inputs[0] @ self.w1[0].value
+        for x_in, w in zip(inputs[1:], self.w1[1:]):
+            pre += x_in @ w.value
         pre += self.b1.value
         mask = pre > 0.0
         hidden = np.maximum(pre, 0.0)  # NaN stays NaN; -0.0 becomes +0.0
@@ -185,36 +186,30 @@ class TCNModel:
         for g_in, w in zip(gathered[1:], self.w2[1:]):
             out += g_in @ w.value
         out += self.b2.value
-        return out, (arr, taps, mask, gathered)
+        return out, (inputs, taps, mask, gathered)
 
     def _grads(self, saved: tuple, g: np.ndarray) -> list[np.ndarray]:
         """The chain's pushes replayed by hand: one gradient per parameter,
-        in :meth:`parameters` order.
+        in :meth:`parameters` order, for the logits' gradient ``g``.
 
         The hidden gradient scatter-adds each tap with one ``np.bincount``
         from +0.0, as ``gather_rows`` did, and sums the taps in offset
         order, as ``backward`` summed them.
         """
-        arr, taps, mask, gathered = saved
+        inputs, taps, mask, gathered = saved
         n, h = mask.shape
-        cols = np.arange(h)
+        flat = (taps[:, :, None] * h + np.arange(h)).reshape(len(taps), -1)
         g_hidden = None
-        for idx, w in zip(taps, self.w2):
-            flat = (idx[:, None] * h + cols).ravel()
-            part = np.bincount(flat, weights=(g @ w.value.T).ravel(),
+        for idx, w in zip(flat, self.w2):
+            part = np.bincount(idx, weights=(g @ w.value.T).ravel(),
                                minlength=n * h).reshape(n, h)
             if g_hidden is None:
                 g_hidden = part
             else:
                 g_hidden += part
         g_pre = g_hidden * mask
-        return [*(arr[idx].T @ g_pre for idx in taps), _bias_grad(g_pre),
+        return [*(x_in.T @ g_pre for x_in in inputs), _bias_grad(g_pre),
                 *(g_in.T @ g for g_in in gathered), _bias_grad(g)]
-
-    def logits_graph(self, features) -> la.Node:
-        """Per-frame logits as one node whose parents are :meth:`parameters`."""
-        out, saved = self._values(features)
-        return la.Node(out, self.parameters(), lambda g: self._grads(saved, g))
 
     def predict(self, features) -> np.ndarray:
         """Per-frame boundary probabilities in (0, 1); builds no graph."""
@@ -261,11 +256,22 @@ def tcn_train(dataset, cfg: TCNTrainConfig) -> TCNModel:
         raise ConfigError("training set labels contain no negative frames")
     pos_weight = cfg.pos_weight if cfg.pos_weight is not None else total_neg / total_pos
     model = TCNModel(feature_dim, cfg.kernel_size, cfg.hidden_channels, cfg.seed)
-    la.sgd(model.parameters(), prepared,
-           lambda inst: (la.weighted_bce_with_logits(model.logits_graph(inst[0]), inst[1],
-                                                     pos_weight),),
+    la.sgd(model.parameters(), prepared, lambda inst: _step(model, pos_weight, *inst),
            cfg.epochs, cfg.seed, cfg.learning_rate, cfg.momentum, 1, 0.0)
     return model
+
+
+def _step(model: TCNModel, pos_weight: float, features, targets):
+    """One instance's training step for :func:`tapkit.linalg.sgd`.
+
+    Returns ``(loss, (), grads)``: the weighted BCE of the logits, and a
+    function for the parameters' gradients, the loss op's push and then the
+    layers', bitwise what ``backward`` leaves on a logits node whose push is
+    :meth:`TCNModel._grads`.
+    """
+    out, saved = model._values(features)
+    loss = la.weighted_bce_with_logits(out, targets, pos_weight)
+    return loss.item(), (), lambda: model._grads(saved, loss._push(np.ones((1, 1)))[0])
 
 
 def tcn_parse(features, model: TCNModel, threshold: float = 0.5,

@@ -81,7 +81,8 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _model_config_from_args(args, feature_dim, num_classes) -> ModelConfig:
+def _model_config_from_args(args, feature_dim, num_classes,
+                            num_units: int = ModelConfig.num_units) -> ModelConfig:
     return ModelConfig(feature_dim=feature_dim,
                        pattern_dim=args.pattern_dim,
                        num_patterns=args.patterns,
@@ -89,7 +90,7 @@ def _model_config_from_args(args, feature_dim, num_classes) -> ModelConfig:
                        value_dim=args.value_dim,
                        hidden_dim=args.hidden_dim,
                        num_classes=num_classes,
-                       num_units=args.sps_units)
+                       num_units=num_units)
 
 
 def _loss_config_from_args(args) -> LossConfig:
@@ -109,7 +110,7 @@ def cmd_train(args) -> int:
     dataset = [(feats, record.boundaries, labels.index(record.label))
                for record, feats in pairs]
     feature_dim = dataset[0][0].shape[1]
-    model_cfg = _model_config_from_args(args, feature_dim, len(labels))
+    model_cfg = _model_config_from_args(args, feature_dim, len(labels), args.sps_units)
     loss_cfg = _loss_config_from_args(args)
     model = TransParserModel.initialize(model_cfg, seed=args.seed, labels=labels)
     log_path = args.log if args.log else str(args.model_out) + ".log.jsonl"
@@ -203,6 +204,7 @@ def cmd_ablate(args) -> int:
     eval_data = [(feats, record.boundaries, record.length)
                  for record, feats in eval_pairs]
     feature_dim = train_data[0][0].shape[1]
+    # no unit count: run_ablation sets each cell's
     model_cfg = _model_config_from_args(args, feature_dim, len(labels))
     loss_cfg = LossConfig(lambda_reg=args.lambda_reg, learning_rate=args.lr,
                           momentum=args.momentum, grad_clip=args.grad_clip,
@@ -277,7 +279,6 @@ def _add_data_arg(p):
 
 
 def _add_model_dims(p):
-    p.add_argument("--sps-units", type=int, default=2)
     p.add_argument("--patterns", type=int, default=32)
     p.add_argument("--pattern-dim", type=int, default=64)
     p.add_argument("--attn-dim", type=int, default=32)
@@ -306,6 +307,7 @@ def _train_arguments(p):
     p.add_argument("--log", default=None, help="epoch log path "
                    "(default: <model-out>.log.jsonl)")
     p.add_argument("--no-local-loss", action="store_true")
+    p.add_argument("--sps-units", type=int, default=2)
     _add_model_dims(p)
     _add_optimizer(p)
     p.add_argument("--seed", type=int, default=0)

@@ -1,14 +1,18 @@
 """Dense float64 matrices with reverse-mode gradient support.
 
-Both losses are built from the operations in this module.  An attention
-unit (:mod:`tapkit.model`) and the TCN baseline (:mod:`tapkit.baselines`)
-are each one :class:`Node` with a hand-written backward; the TCN's
-probabilities go through :func:`_logistic`.  Values are plain 2-D numpy
-arrays wrapped in graph :class:`Node` objects; each operation records how to
-push an upstream gradient back to its operands, and :func:`backward` replays
-those rules from a scalar output.  :func:`sgd` trains both models.  Analytic
-gradients are verified against central finite differences with
-:func:`grad_check`.
+Both losses are built from the operations in this module.  Values are plain
+2-D numpy arrays wrapped in graph :class:`Node` objects; each operation
+records how to push an upstream gradient back to its operands, and
+:func:`backward` replays those rules from a scalar output.  The TCN's
+probabilities go through :func:`_logistic`.
+
+:func:`sgd` trains both models from a step function that runs the forward,
+the loss ops and their pushes in one straight line (``losses._step``,
+``baselines._step``), with no graph.  The graph is the path of
+:func:`grad_check`, which checks the analytic gradients against central
+finite differences, and the oracle that tests hold the steps to, bit for
+bit.  Its ops stay here, not in the tests, because the benchmark's tracer
+looks them up in this module by name.
 
 Conventions
 -----------
@@ -513,19 +517,41 @@ def backward(root: Node) -> None:
                 pending.append((node.id, contribution))
 
 
-def sgd(params: list[Node], instances, loss_of, epochs: int, seed: int,
+def _flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """C-contiguous views of consecutive runs of ``flat``, one per shape."""
+    views, start = [], 0
+    for rows, cols in shapes:
+        views.append(flat[start:start + rows * cols].reshape(rows, cols))
+        start += rows * cols
+    return views
+
+
+def sgd(params: list[Node], instances, step, epochs: int, seed: int,
         learning_rate: float, momentum: float, batch_size: int,
         grad_clip: float) -> list[list[float]]:
     """SGD with momentum: the one update rule of both trainers.
 
-    ``loss_of(instance)`` returns the scalar loss node and any floats to sum
-    with it; each epoch's sums are returned.  The order is reshuffled each
-    epoch from ``seed``, a batch's gradients are summed in instance order and
-    averaged, and ``grad_clip > 0`` caps the batch's global norm.  Raises on
-    the first non-finite loss, naming the epoch and instance.
+    ``step(instance)`` returns ``(loss, extras, grads)``: the loss as a
+    float, a tuple of floats to sum with it, and a function that computes
+    the instance's gradients, one array per parameter in ``params`` order.
+    Each epoch's sums are returned.  The order is reshuffled each epoch from
+    ``seed``, a batch's gradients are summed in instance order and averaged,
+    and ``grad_clip > 0`` caps the batch's global norm.  Raises on the first
+    non-finite loss, naming the epoch and instance, before its gradients are
+    computed.
+
+    The parameters are copied into one flat vector and each ``value`` is
+    rebound to its view of it, so the momentum update is three vector ops.
+    Every step is elementwise, so the weights are bitwise those of an update
+    parameter by parameter.
     """
-    velocity = [np.zeros_like(p.value) for p in params]
-    accum = [np.zeros_like(p.value) for p in params]
+    shapes = [p.value.shape for p in params]
+    weights = np.concatenate([p.value.ravel() for p in params])
+    for p, view in zip(params, _flat_views(weights, shapes)):
+        p.value = view
+    velocity = np.zeros_like(weights)
+    flat_accum = np.zeros_like(weights)
+    accum = _flat_views(flat_accum, shapes)
     rng = np.random.default_rng(seed)
     history = []
     for epoch in range(epochs):
@@ -534,28 +560,25 @@ def sgd(params: list[Node], instances, loss_of, epochs: int, seed: int,
         for lo in range(0, len(order), batch_size):
             batch = order[lo:lo + batch_size]
             for k, idx in enumerate(batch):
-                loss, *parts = loss_of(instances[idx])
-                value = loss.item()
-                if not np.isfinite(value):
+                loss, extras, grads = step(instances[idx])
+                if not np.isfinite(loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}, instance {idx}")
-                sums = [s + t for s, t in zip(sums or itertools.repeat(0.0), (value, *parts))]
-                backward(loss)
-                for buf, p in zip(accum, params):
-                    np.add(buf if k else 0.0, p.grad, out=buf)  # a batch starts at +0.0
+                sums = [s + t for s, t in zip(sums or itertools.repeat(0.0), (loss, *extras))]
+                for buf, g in zip(accum, grads(), strict=True):
+                    np.add(buf if k else 0.0, g, out=buf)  # a batch starts at +0.0
             inv = 1.0 / len(batch)
             if grad_clip > 0:
                 # global-norm clip keeps the ratio loss's near-pole gradients
-                # from blowing up the first few updates
+                # from blowing up the first few updates; one sum per
+                # parameter, as a single sum would round differently
                 norm = np.sqrt(sum(float((buf * buf).sum()) for buf in accum) * inv * inv)
                 if norm > grad_clip:
                     inv *= grad_clip / norm
             if inv != 1.0:
-                for buf in accum:
-                    buf *= inv
-            for p, v, buf in zip(params, velocity, accum):
-                v *= momentum
-                v += buf
-                p.value -= learning_rate * v
+                flat_accum *= inv
+            velocity *= momentum
+            velocity += flat_accum
+            weights -= learning_rate * velocity
         history.append(sums)
     return history
 

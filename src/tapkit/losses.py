@@ -5,7 +5,10 @@ responses together inside a sub-action and pushes them apart across
 sub-actions, and a global classification loss on mean-pooled logits that
 keeps the refined features predictive of the action label.  Both are read
 off the final unit (for a one-unit model, that unit).  :func:`train` steps
-the parser with :func:`tapkit.linalg.sgd`.
+the parser with :func:`tapkit.linalg.sgd`, one straight-line step per
+instance (:func:`_step`) that builds no graph.  :func:`combined_loss` on
+:func:`tapkit.model.forward_graph` is the same loss as a graph: the path of
+``grad_check`` and the oracle the step is tested against.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 from . import linalg as la
 from .data import check_starts
 from .errors import ConfigError, InputError
-from .model import TransParserModel, forward_graph
+from .model import TransParserModel, _check_features, _unit_grads, _unit_values
+from .model import forward_graph  # noqa: F401  (the graph path, looked up here by name)
 
 EPSILON_DIV = 1e-8
 """Guard added to the local ratio loss's denominator, which is otherwise
@@ -94,6 +98,54 @@ def combined_loss(graph, segmentation, label: int,
     return la.add(la.scale(ll, cfg.w_local), gl), ll.item(), gl.item()
 
 
+def _step(model: TransParserModel, cfg: LossConfig, features, starts, label: int):
+    """One instance's training step for :func:`tapkit.linalg.sgd`.
+
+    Returns ``(total, (local, global), grads)``.  The values are those of
+    :func:`combined_loss` on :func:`forward_graph`, and ``grads()`` returns
+    what ``backward`` would leave on ``model.parameters()``, bit for bit:
+    each node of that graph has one consumer, so its reverse pass is this
+    straight line.  The local term's gradient reaches the last unit only;
+    a one-frame instance has none.
+    """
+    x = _check_features(features, model.config.feature_dim)
+    saved = []
+    for unit in model.units:
+        x, response, unit_saved = _unit_values(x, unit)
+        saved.append(unit_saved)
+    logits = (x @ model.classifier_w.value).mean(axis=0, keepdims=True)
+    gl = la.nll_from_logits(logits, label)
+    glob = gl.item()
+    if cfg.w_local == 0:
+        ll = None
+        local, total = 0.0, glob
+    else:
+        ll = local_loss(response, starts, cfg)  # the last unit's response
+        local = ll.item()
+        total = local * float(cfg.w_local) + glob
+
+    def grads() -> list[np.ndarray]:
+        # the loss ops' pushes, then mean_over_rows' and the classifier
+        # matmul's, then each unit's in reverse, as backward would run them
+        g_resp = None
+        if ll is not None and ll._push is not None:
+            (g_resp,) = ll._push(np.array([[float(cfg.w_local)]]))
+        (g_logits,) = gl._push(np.ones((1, 1)))
+        n = x.shape[0]
+        g_out = np.repeat(g_logits, n, axis=0) / n
+        out_grads = [x.T @ g_out]
+        g_out = g_out @ model.classifier_w.value.T
+        for i in reversed(range(len(model.units))):
+            unit_grads = _unit_grads(model.units[i], saved[i], g_out, g_resp, i > 0)
+            if i > 0:
+                g_out = unit_grads.pop(0)
+            out_grads[:0] = unit_grads
+            g_resp = None  # only the last unit's response has a loss
+        return out_grads
+
+    return total, (local, glob), grads
+
+
 def train(dataset, model: TransParserModel, cfg: LossConfig,
           log_path=None) -> tuple[TransParserModel, list[dict]]:
     """SGD with momentum over ``(features, segmentation, label)`` triples.
@@ -117,8 +169,7 @@ def train(dataset, model: TransParserModel, cfg: LossConfig,
         starts = check_starts(segmentation, arr.shape[0], f"training instance {i}")
         prepared.append((arr, starts, int(label)))
 
-    sums = la.sgd(model.parameters(), prepared,
-                  lambda inst: combined_loss(forward_graph(inst[0], model), *inst[1:], cfg),
+    sums = la.sgd(model.parameters(), prepared, lambda inst: _step(model, cfg, *inst),
                   cfg.epochs, cfg.seed, cfg.learning_rate, cfg.momentum,
                   cfg.batch_size, cfg.grad_clip)
     count = len(prepared)

@@ -7,10 +7,14 @@ through a small feed-forward net.  Stacking units refines the features; the
 last unit's attention response is what downstream parsing and the local
 loss consume.
 
-:func:`forward_graph` is the training pass: every unit in full plus the
-action classifier, one graph node per unit.  :func:`forward` is inference:
-it stops at the last unit's response, so that unit's merge fc and FFN and
-the classifier never run, and it checks only what it computes.
+A unit runs on plain arrays: :func:`_unit_values` forward and
+:func:`_unit_grads` backward, which training (:mod:`tapkit.losses`) calls
+directly.  :func:`forward_graph` is the same pass as a graph, one node per
+unit, plus the action classifier: it is the path of ``grad_check`` and the
+tests' oracle, and the benchmark's tracer looks it up by name.
+:func:`forward` is inference: it stops at the last unit's response, so that
+unit's merge fc and FFN and the classifier never run, and it checks only
+what it computes.
 """
 
 from __future__ import annotations

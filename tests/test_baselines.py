@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tapkit.linalg as la
-from tapkit.baselines import (TCNModel, TCNTrainConfig, boundary_targets, kmeans,
+from tapkit.baselines import (TCNModel, TCNTrainConfig, _step, boundary_targets, kmeans,
                               kmeans_parse, tcn_parse, tcn_train)
 from tapkit.errors import ConfigError, InputError, NumericError
 from tapkit.parsing import starts_from_labels
@@ -107,6 +107,14 @@ def chain_logits_graph(model, features):
     return la.add(out, model.b2)
 
 
+def fused_logits_graph(model, features):
+    """The fused TCN's logits as one node whose parents are the parameters:
+    the graph form of what training steps, for ``backward`` and
+    ``grad_check``."""
+    out, saved = model._values(features)
+    return la.Node(out, model.parameters(), lambda g: model._grads(saved, g))
+
+
 def loss_and_grads(model, logits_fn, features, targets, pos_weight):
     logits = logits_fn(model, features)
     la.backward(la.weighted_bce_with_logits(logits, targets, pos_weight))
@@ -127,7 +135,7 @@ class TestTcnChainOracle:
             features = rng.normal(size=(n, dim))
             targets = (rng.uniform(size=(n, 1)) > 0.6).astype(float)
             for pos_weight in (0.5, 2.5):
-                logits, grads = loss_and_grads(model, TCNModel.logits_graph,
+                logits, grads = loss_and_grads(model, fused_logits_graph,
                                                features, targets, pos_weight)
                 ref_logits, ref_grads = loss_and_grads(model, chain_logits_graph,
                                                        features, targets, pos_weight)
@@ -135,8 +143,15 @@ class TestTcnChainOracle:
                 assert len(grads) == 2 * kernel + 2
                 for i, (got, want) in enumerate(zip(grads, ref_grads)):
                     assert got == want, (n, pos_weight, i)
+                # the training step, with no graph, gives the same loss and
+                # gradients
+                loss, extras, step_grads = _step(model, pos_weight, features, targets)
+                want_loss = la.weighted_bce_with_logits(
+                    chain_logits_graph(model, features), targets, pos_weight).item()
+                assert (loss, extras) == (want_loss, ())
+                assert [g.tobytes() for g in step_grads()] == ref_grads, (n, pos_weight)
 
-    def test_training_weights_are_bytes_equal(self, monkeypatch):
+    def test_training_weights_are_bytes_equal(self):
         rng = np.random.default_rng(11)
         dataset = []
         for length in (3, 5, 8, 20, 37):  # some shorter than the kernel
@@ -144,8 +159,7 @@ class TestTcnChainOracle:
             dataset.append((features, (length // 2,)))
         cfg = TCNTrainConfig(kernel_size=9, hidden_channels=6, epochs=4, seed=4)
         fused = tcn_train(dataset, cfg)
-        monkeypatch.setattr(TCNModel, "logits_graph", chain_logits_graph)
-        chained = tcn_train(dataset, cfg)
+        chained = oracle_tcn_train(dataset, cfg, chain_logits_graph)
         for a, b in zip(fused.parameters(), chained.parameters(), strict=True):
             assert a.value.tobytes() == b.value.tobytes()
 
@@ -169,7 +183,7 @@ class TestTcnChainOracle:
                 made.append(self)
 
         monkeypatch.setattr(la, "Node", CountingNode)
-        node = model.logits_graph(features)
+        node = fused_logits_graph(model, features)
         assert made == [node]
         params = model.parameters()
         assert len(node.parents) == len(params)
@@ -186,9 +200,10 @@ class TestTcnChainOracle:
             model.predict(np.random.default_rng(14).normal(size=(6, 4)))
 
 
-def oracle_tcn_train(dataset, cfg):
-    """The TCN's own SGD loop from before :func:`tapkit.linalg.sgd`: the
-    oracle that the shared loop must equal bit for bit."""
+def oracle_tcn_train(dataset, cfg, logits_graph=fused_logits_graph):
+    """The TCN's own SGD loop from before :func:`tapkit.linalg.sgd`, stepping
+    ``backward`` on ``logits_graph``: the oracle that the shared loop must
+    equal bit for bit."""
     prepared = []
     for features, starts in dataset:
         arr = np.asarray(features, dtype=np.float64)
@@ -206,7 +221,7 @@ def oracle_tcn_train(dataset, cfg):
     for _ in range(cfg.epochs):
         for idx in rng.permutation(len(prepared)):
             arr, target = prepared[idx]
-            loss = la.weighted_bce_with_logits(model.logits_graph(arr), target,
+            loss = la.weighted_bce_with_logits(logits_graph(model, arr), target,
                                                pos_weight)
             la.backward(loss)
             for p, v in zip(params, velocity):
@@ -228,6 +243,16 @@ class TestSharedSgdOracle:
         own = oracle_tcn_train(dataset, cfg)
         for a, b in zip(shared.parameters(), own.parameters(), strict=True):
             assert a.value.tobytes() == b.value.tobytes()
+
+    def test_training_builds_no_graph(self, monkeypatch):
+        def no_backward(root):
+            raise AssertionError("training called backward")
+
+        monkeypatch.setattr(la, "backward", no_backward)
+        rng = np.random.default_rng(22)
+        model = tcn_train([(rng.normal(size=(12, 3)), (4,)), (rng.normal(size=(2, 3)), (1,))],
+                          TCNTrainConfig(kernel_size=5, hidden_channels=4, epochs=2))
+        assert all(np.isfinite(p.value).all() for p in model.parameters())
 
     def test_nan_weight_stops_training(self, monkeypatch):
         init = TCNModel.__init__
@@ -270,7 +295,7 @@ class TestTcn:
         for features, starts in dataset:
             targets = boundary_targets(len(features), starts, 1).reshape(-1, 1)
             total += la.weighted_bce_with_logits(
-                model.logits_graph(np.asarray(features)), targets, pos_weight).item()
+                fused_logits_graph(model, np.asarray(features)), targets, pos_weight).item()
         assert total / len(dataset) < 0.1
 
     def test_gradients_pass_grad_check(self):
@@ -279,7 +304,7 @@ class TestTcn:
         targets = boundary_targets(6, [3], 1).reshape(-1, 1)
 
         def loss():
-            return la.weighted_bce_with_logits(model.logits_graph(features),
+            return la.weighted_bce_with_logits(fused_logits_graph(model, features),
                                                targets, 2.5)
 
         assert la.grad_check(loss, model.parameters(), eps=1e-6) < 1e-6

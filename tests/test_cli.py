@@ -547,7 +547,8 @@ COMMAND_OPTIONS = {
                      "--neighbor-radius", "--pos-weight", "--threshold", "--nms-radius",
                      "--epochs", "--lr", "--momentum", "--seed"},
     "stats": {"--data"},
-    "ablate": {"--data", "--out", "--seed", *MODEL_DIMS, *OPTIMIZER},
+    # every grid cell sets its own unit count
+    "ablate": {"--data", "--out", "--seed", *MODEL_DIMS - {"--sps-units"}, *OPTIMIZER},
     "compare-sampling": {"--data", "--pred", "--segments", "--out", "--seed"},
     "patterns": {"--data", "--model", "--pattern", "--top", "--split", "--seed"},
 }
@@ -611,9 +612,12 @@ class TestHelpAndUsage:
         (["--frobnicate", "eval", "--pred", "p"], "unrecognized arguments: --frobnicate"),
         (["baseline", "--frobnicate", "kmeans", "--out", "o", "--z"],
          "unrecognized arguments: --frobnicate --z"),
+        # ablate's grid sets the unit count of each cell
+        (["ablate", "--out", "a.csv", "--sps-units", "4"],
+         "unrecognized arguments: --sps-units 4"),
     ], ids=["no-command", "unknown-command", "unknown-flag", "unknown-command-flag",
             "unknown-eval-flag", "unknown-kmeans-flag", "flag-before-eval",
-            "flag-between-words"])
+            "flag-between-words", "ablate-unit-count"])
     def test_bad_command_line_shows_every_command(self, capsys, args, error):
         code, captured = self.exit_of(args, capsys)
         assert code == 2

@@ -1,5 +1,7 @@
 import json
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 import tapkit.linalg as la
 from tapkit.data import SynthConfig, generate_synthetic
 from tapkit.errors import ConfigError, InputError, NumericError, ValidationError
-from tapkit.losses import EPSILON_DIV, LossConfig, combined_loss, local_loss, train
+from tapkit.losses import EPSILON_DIV, LossConfig, _step, combined_loss, local_loss, train
 from tapkit.model import ModelConfig, TransParserModel, forward_graph
 
 CFG = LossConfig()
@@ -385,9 +387,10 @@ class TestTrain:
             assert np.array_equal(a.value, b.value)
 
 
-def oracle_train(dataset, model, cfg):
-    """The parser's own SGD loop from before :func:`tapkit.linalg.sgd`: the
-    oracle that the shared loop must equal bit for bit."""
+def oracle_train(dataset, model, cfg, build=forward_graph):
+    """The parser's own SGD loop from before :func:`tapkit.linalg.sgd`,
+    stepping ``backward`` on the graph that ``build`` makes: the oracle that
+    the shared loop must equal bit for bit."""
     prepared = [(np.asarray(f, dtype=np.float64), list(s), int(y)) for f, s, y in dataset]
     params = model.parameters()
     velocity = [np.zeros_like(p.value) for p in params]
@@ -403,8 +406,7 @@ def oracle_train(dataset, model, cfg):
                 buf.fill(0.0)
             for idx in batch:
                 arr, starts, label = prepared[idx]
-                total, lval, gval = combined_loss(forward_graph(arr, model), starts,
-                                                  label, cfg)
+                total, lval, gval = combined_loss(build(arr, model), starts, label, cfg)
                 tval = total.item()
                 if not np.isfinite(tval):
                     raise NumericError(f"non-finite loss at epoch {epoch}, instance {idx}")
@@ -455,6 +457,68 @@ class TestSharedSgdOracle:
         got = outcome(lambda: train(data, shared, cfg)[1], shared)
         want = outcome(lambda: oracle_train(data, own, cfg), own)
         assert got == want
+
+
+def step_instances(rng, feature_dim):
+    """``(features, starts, label)`` of several shapes: many segments, one
+    segment, and one frame (no pair at all)."""
+    return [(rng.normal(size=(n, feature_dim)) * 2.0, starts, n % 2)
+            for n, starts in ((9, [2, 5, 6]), (4, [1]), (6, []), (1, []))]
+
+
+class TestStraightLineStep:
+    """The training step equals ``forward_graph``, ``combined_loss`` and
+    ``backward`` on the same instance, bit for bit, without the graph."""
+
+    @pytest.mark.parametrize("num_units", [1, 2, 3])
+    @pytest.mark.parametrize("w_local", [0.0, 1.0])
+    def test_one_instance_is_bytes_equal_to_backward(self, num_units, w_local):
+        from conftest import spread_model
+        cfg = LossConfig(w_local=w_local)
+        model = spread_model(replace(tiny_model().config, num_units=num_units),
+                             seed=num_units)
+        rng = np.random.default_rng(40 + num_units)
+        for features, starts, label in step_instances(rng, 8):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                total, extras, grads = _step(model, cfg, features, starts, label)
+            # the degenerate-instance warning fires where the local term runs
+            assert [str(w.message)[:34] for w in caught] == (
+                ["instance has fewer than 2 segments"] if w_local and not starts else [])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                graph_total, local, glob = combined_loss(forward_graph(features, model),
+                                                         starts, label, cfg)
+            la.backward(graph_total)
+            assert (total, extras) == (graph_total.item(), (local, glob))
+            assert [g.tobytes() for g in grads()] == [
+                p.grad.tobytes() for p in model.parameters()], (len(features), starts)
+
+    @pytest.mark.parametrize("num_units", [1, 2, 3])
+    @pytest.mark.parametrize("w_local", [0.0, 1.0])
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_one_update_is_bytes_equal_to_backward(self, num_units, w_local, batch_size):
+        # a batch holding the whole dataset: one update of the weights
+        data = step_instances(np.random.default_rng(43), 8)[:batch_size]
+        cfg = LossConfig(epochs=1, learning_rate=0.02, batch_size=batch_size,
+                         w_local=w_local, seed=6)
+        shared = tiny_model(seed=8, num_units=num_units)
+        own = tiny_model(seed=8, num_units=num_units)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the one-segment instance's
+            got = outcome(lambda: train(data, shared, cfg)[1], shared)
+            want = outcome(lambda: oracle_train(data, own, cfg), own)
+        assert got == want
+
+    def test_training_builds_no_graph(self, monkeypatch):
+        def no_backward(root):
+            raise AssertionError("training called backward")
+
+        monkeypatch.setattr(la, "backward", no_backward)
+        model = tiny_model(seed=9)
+        _, history = train(tiny_dataset(seed=9)[:5], model,
+                           LossConfig(epochs=2, batch_size=2))
+        assert len(history) == 2 and np.isfinite(history[-1]["total"])
 
 
 class TestLossConfig:

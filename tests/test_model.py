@@ -364,9 +364,10 @@ class TestFusedUnit:
         assert second.parents[0] is first
         assert all(r.parents == () for r in graph.responses)
 
-    def test_training_matches_chain(self, monkeypatch):
+    def test_training_matches_chain(self):
         import tapkit.losses as losses
         from tapkit.data import SynthConfig, generate_synthetic
+        from test_losses import oracle_train
         synth = SynthConfig(num_prototypes=3, feature_dim=8, num_actions=2,
                             instances_per_action=6, seg_len_range=(3, 6),
                             transition_width=1, noise_sigma=0.05, seed=3)
@@ -378,13 +379,13 @@ class TestFusedUnit:
                           value_dim=4, hidden_dim=12, num_classes=2, num_units=2)
         for loss_cfg in (losses.LossConfig(epochs=3),
                          losses.LossConfig(epochs=2, batch_size=3, w_local=0.0)):
-            hashes = []
-            for build in (chain_forward_graph, forward_graph):
-                monkeypatch.setattr(losses, "forward_graph", build)
-                model, history = losses.train(dataset, TransParserModel.initialize(cfg, 4),
-                                              loss_cfg)
-                hashes.append((history, [p.value.tobytes() for p in model.parameters()]))
-            assert hashes[0] == hashes[1]
+            model, history = losses.train(dataset, TransParserModel.initialize(cfg, 4),
+                                          loss_cfg)
+            chained = TransParserModel.initialize(cfg, 4)
+            chain_history = oracle_train(dataset, chained, loss_cfg, chain_forward_graph)
+            assert history == chain_history
+            assert [p.value.tobytes() for p in model.parameters()] == [
+                p.value.tobytes() for p in chained.parameters()]
 
 
 class TestRetrieveTopFrames:

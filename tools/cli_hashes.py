@@ -9,6 +9,10 @@ Runs in process, through ``tapkit.cli.main``:
   train, parse, eval, baseline kmeans and tcn, stats, ablate,
   compare-sampling, patterns), hashing every file it writes and every
   command's stdout;
+- a 2-epoch ``train`` and ``baseline tcn`` at the default model dims on the
+  acceptance "easy" corpus at seed 0, hashed the same way: criterion 8 runs
+  tiny dims only, and the weights' memory layout can change the bits of a
+  matrix product at full size;
 - ``--version`` and every command's ``--help``;
 - the usage errors of ``tests/test_cli.py::TestHelpAndUsage`` and its help
   after an unknown option, hashing the stdout, the stderr and the exit code
@@ -40,6 +44,10 @@ SYNTH = {"num_prototypes": 3, "feature_dim": 8, "num_actions": 2,
          "transition_width": 1, "noise_sigma": 0.1, "seed": 9}
 TINY_DIMS = ["--patterns", "6", "--pattern-dim", "8", "--attn-dim", "4",
              "--value-dim", "4", "--hidden-dim", "12"]
+# the acceptance "easy" corpus of criterion 5, at its seed
+EASY_SYNTH = {"num_prototypes": 4, "feature_dim": 64, "num_actions": 4,
+              "instances_per_action": 40, "seg_len_range": [8, 20],
+              "transition_width": 2, "noise_sigma": 0.1, "seed": 0}
 
 COMMANDS = ["synth", "train", "parse", "eval", "baseline", "baseline kmeans",
             "baseline tcn", "stats", "ablate", "compare-sampling", "patterns"]
@@ -52,6 +60,7 @@ USAGE_ERRORS = [
     ["baseline", "kmeans", "--out", "o", "--frobnicate", "3"],
     ["--frobnicate", "eval", "--pred", "p"],
     ["baseline", "--frobnicate", "kmeans", "--out", "o", "--z"],
+    ["ablate", "--out", "a.csv", "--sps-units", "4"],
     ["--frobnicate", "synth", "-h"], ["eval"], ["baseline", "kmeans"], ["eval", "--pred", "p.jsonl", "--mode", "bogus"],
 ]
 
@@ -65,6 +74,19 @@ def call(main, argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def run_steps(main, base: Path, steps, put, prefix: str = "") -> bool:
+    """Run ``steps`` and hash each one's stdout, then every file under ``base``."""
+    for tag, argv in steps:
+        code, out, err = call(main, argv)
+        if code != 0:
+            print(f"error: step {prefix}{tag} exited {code}: {err}", file=sys.stderr)
+            return False
+        put(f"stdout {prefix}{tag}", out)
+    for path in sorted(p for p in base.rglob("*") if p.is_file()):
+        put(f"file {prefix}{path.relative_to(base).as_posix()}", path.read_bytes())
+    return True
 
 
 def criterion_8(main, tmp: Path, put) -> bool:
@@ -92,15 +114,23 @@ def criterion_8(main, tmp: Path, put) -> bool:
         ("patterns", ["patterns", "--data", data, "--model", model,
                       "--pattern", "1", "--top", "5", "--seed", "3"]),
     ]
-    for tag, argv in steps:
-        code, out, err = call(main, argv)
-        if code != 0:
-            print(f"error: step {tag} exited {code}: {err}", file=sys.stderr)
-            return False
-        put(f"stdout {tag}", out)
-    for path in sorted(p for p in base.rglob("*") if p.is_file()):
-        put(f"file {path.relative_to(base).as_posix()}", path.read_bytes())
-    return True
+    return run_steps(main, base, steps, put)
+
+
+def default_dims(main, tmp: Path, put) -> bool:
+    config = tmp / "easy.json"
+    config.write_text(json.dumps(EASY_SYNTH))
+    base = tmp / "easy"
+    base.mkdir()
+    data = tmp / "easy-data"  # only what training writes is hashed
+    steps = [
+        ("synth", ["synth", "--config", config, "--out", data]),
+        ("train", ["train", "--data", data, "--model-out", base / "model.tpsr",
+                   "--epochs", "2", "--lr", "0.02", "--seed", "0"]),
+        ("tcn", ["baseline", "tcn", "--data", data, "--out", base / "tcn.jsonl",
+                 "--epochs", "2", "--seed", "0"]),
+    ]
+    return run_steps(main, base, steps, put, prefix="easy ")
 
 
 def main(argv=None) -> int:
@@ -118,6 +148,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         ok = criterion_8(tapkit_main, Path(tmp), put)
+        ok = default_dims(tapkit_main, Path(tmp), put) and ok
     for argv_ in [["--version"], ["--help"],
                   *([*command.split(), "--help"] for command in COMMANDS),
                   *USAGE_ERRORS]:
